@@ -15,12 +15,13 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .clipper_plus import (
     DEFAULT_EXACT_BUDGET,
+    ClipperPlusReport,
     clipper_plus,
     max_clique_exact,
 )
@@ -58,7 +59,18 @@ CSV_COLUMNS = (
     "early_terminated",
 )
 
-ALGORITHM_NAMES = ("greedy", "relax", "clipper+", "exact")
+# Solvers by name. Each takes the graph, the relaxation parameters and the
+# exact-search node budget, and returns a clique or a CLIPPER+ report.
+_SOLVERS: dict[str, Callable[..., Clique | ClipperPlusReport]] = {
+    "greedy": lambda g, params, budget: greedy_maximal_clique(g, core_numbers(g)),
+    "relax": lambda g, params, budget: solve_relaxation(
+        g, uniform_initial_guess(g.n), params
+    ),
+    "clipper+": lambda g, params, budget: clipper_plus(g, params),
+    "exact": lambda g, params, budget: max_clique_exact(g, budget=budget),
+}
+
+ALGORITHM_NAMES = tuple(_SOLVERS)
 
 
 @dataclass(frozen=True)
@@ -146,36 +158,23 @@ def run_algorithm(
     exact_budget: int = DEFAULT_EXACT_BUDGET,
 ) -> AlgorithmRun:
     """Run one solver with solve-only timing and validate its output."""
-    if name == "greedy":
-        start = time.perf_counter()
-        clique = greedy_maximal_clique(g, core_numbers(g)).clique
-        elapsed = time.perf_counter() - start
-        run = AlgorithmRun(clique=clique, runtime_ms=elapsed * 1e3)
-    elif name == "relax":
-        guess = uniform_initial_guess(g.n)
-        start = time.perf_counter()
-        clique = solve_relaxation(g, guess, params)
-        elapsed = time.perf_counter() - start
-        run = AlgorithmRun(clique=clique, runtime_ms=elapsed * 1e3)
-    elif name == "clipper+":
-        start = time.perf_counter()
-        report = clipper_plus(g, params)
-        elapsed = time.perf_counter() - start
-        run = AlgorithmRun(
-            clique=report.clique,
-            runtime_ms=elapsed * 1e3,
-            early_terminated=report.early_terminated,
-            degraded=report.degraded,
-        )
-    elif name == "exact":
-        start = time.perf_counter()
-        clique = max_clique_exact(g, budget=exact_budget)
-        elapsed = time.perf_counter() - start
-        run = AlgorithmRun(clique=clique, runtime_ms=elapsed * 1e3)
-    else:
+    solver = _SOLVERS.get(name)
+    if solver is None:
         raise InputError(
             f"unknown algorithm {name!r}, expected one of {ALGORITHM_NAMES}"
         )
+    start = time.perf_counter()
+    result = solver(g, params, exact_budget)
+    runtime_ms = (time.perf_counter() - start) * 1e3
+    if isinstance(result, ClipperPlusReport):
+        run = AlgorithmRun(
+            clique=result.clique,
+            runtime_ms=runtime_ms,
+            early_terminated=result.early_terminated,
+            degraded=result.degraded,
+        )
+    else:
+        run = AlgorithmRun(clique=result, runtime_ms=runtime_ms)
     check = validate_clique(g, run.clique.members)
     if not check.is_clique:
         raise RuntimeError(

@@ -75,7 +75,7 @@ def clipper_plus(g: Graph, params: SolverParams | None = None) -> ClipperPlusRep
     t0 = time.perf_counter()
     k = core_numbers(g)
     t1 = time.perf_counter()
-    greedy = greedy_maximal_clique(g, k).clique
+    greedy = greedy_maximal_clique(g, k)
     t2 = time.perf_counter()
     pruned = prune_by_core(g, k, greedy.size)
     t3 = time.perf_counter()
@@ -156,7 +156,7 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
         raise InputError(f"budget must be positive, got {budget}")
 
     k = core_numbers(g)
-    best = list(greedy_maximal_clique(g, k).clique.members)
+    best = list(greedy_maximal_clique(g, k).members)
     best_size = len(best)
     rows = g.rows
 

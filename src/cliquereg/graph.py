@@ -78,9 +78,6 @@ class Graph:
     def adjacent(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
 
-    def neighbor_mask(self, v: int) -> int:
-        return self.rows[v]
-
     def neighbors(self, v: int) -> list[int]:
         mask = self.rows[v]
         out = []

@@ -2,21 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
 from .graph import Clique, CoreNumbers, Graph
 
 
-@dataclass(frozen=True)
-class GreedyResult:
-    clique: Clique
-    best_size_trace: tuple[int, ...] | None = None
-
-
-def greedy_maximal_clique(
-    g: Graph, k: CoreNumbers, *, record_trace: bool = False
-) -> GreedyResult:
+def greedy_maximal_clique(g: Graph, k: CoreNumbers) -> Clique:
     """Grow a maximal clique around high-core vertices.
 
     Vertices are visited in descending core-number order (ties broken by
@@ -33,10 +23,8 @@ def greedy_maximal_clique(
             f"core-number vector has length {len(k.values)}, expected {g.n}"
         )
     order = sorted(range(g.n), key=lambda v: (-k.values[v], v))
-    best_mask = 0
     best_members: tuple[int, ...] = ()
     c_max = 0
-    trace: list[int] | None = [] if record_trace else None
 
     for v in order:
         if k.values[v] >= c_max:
@@ -45,21 +33,12 @@ def greedy_maximal_clique(
             grown_mask = 1 << v
             grown = [v]
             if len(grown) > c_max:
-                best_mask, best_members, c_max = grown_mask, tuple(grown), len(grown)
+                best_members, c_max = tuple(grown), len(grown)
             for u in candidates:
                 if (grown_mask & ~g.rows[u]) == 0:
                     grown_mask |= 1 << u
                     grown.append(u)
                 if len(grown) > c_max:
-                    best_mask, best_members, c_max = (
-                        grown_mask,
-                        tuple(grown),
-                        len(grown),
-                    )
-        if trace is not None:
-            trace.append(c_max)
+                    best_members, c_max = tuple(grown), len(grown)
 
-    clique = Clique.of(best_members)
-    return GreedyResult(
-        clique=clique, best_size_trace=tuple(trace) if trace is not None else None
-    )
+    return Clique.of(best_members)

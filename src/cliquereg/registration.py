@@ -134,8 +134,8 @@ def build_consistency_graph(
     no endpoint in either cloud. Endpoint reuse is excluded because two
     associations claiming the same point cannot both be correct.
     """
-    if epsilon <= 0.0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
+    if not (0.0 < epsilon < math.inf):
+        raise InputError(f"epsilon must be positive and finite, got {epsilon}")
     if len(associations) == 0:
         raise InputError("need at least one association")
     ai = np.array([a.a_index for a in associations], dtype=int)

@@ -57,19 +57,12 @@ class SolverParams:
             raise InputError(f"sigma must be in (0, 1), got {self.sigma}")
         if not (0.0 < self.beta < 1.0):
             raise InputError(f"beta must be in (0, 1), got {self.beta}")
-        if self.tol <= 0.0:
-            raise InputError(f"tol must be positive, got {self.tol}")
-        if self.d0 < 0.0:
-            raise InputError(f"d0 must be non-negative, got {self.d0}")
-
-
-@dataclass(frozen=True)
-class PenalizedMatrix:
-    """Adjacency-plus-identity mask with penalty ``-d`` on the zeros."""
-
-    mask: np.ndarray
-    d: float
-    matrix: np.ndarray
+        if not (0.0 < self.tol < math.inf):
+            raise InputError(f"tol must be positive and finite, got {self.tol}")
+        if not (0.0 <= self.d0 < math.inf):
+            raise InputError(f"d0 must be non-negative and finite, got {self.d0}")
+        if self.d_max is not None and not math.isfinite(self.d_max):
+            raise InputError(f"d_max must be finite, got {self.d_max}")
 
 
 @dataclass
@@ -99,25 +92,18 @@ def uniform_initial_guess(n: int) -> np.ndarray:
     return np.full(n, 1.0 / math.sqrt(n))
 
 
-def penalized_matrix(g: Graph, d: float) -> PenalizedMatrix:
-    """Build ``M_d``: 1 on edges and the diagonal, ``-d`` elsewhere."""
-    if d < 0.0:
-        raise InputError(f"penalty must be non-negative, got {d}")
-    mask = g.adjacency_matrix()
-    np.fill_diagonal(mask, True)
-    matrix = np.where(mask, 1.0, -float(d))
-    return PenalizedMatrix(mask=mask, d=float(d), matrix=matrix)
+def penalized_matrix(mask_f: np.ndarray, d: float) -> np.ndarray:
+    """Build ``M_d`` from the adjacency-plus-identity mask as floats:
+    1 where the mask is 1, ``-d`` where it is 0."""
+    return mask_f * (1.0 + d) - d
 
 
-def objective(u: np.ndarray, m: PenalizedMatrix) -> float:
-    """``u^T M_d u``. Expects ``u`` of unit norm."""
-    return float(u @ (m.matrix @ u))
-
-
-def projected_gradient(u: np.ndarray, m: PenalizedMatrix) -> np.ndarray:
-    """Gradient of the objective projected onto the sphere tangent at u."""
-    w = m.matrix @ u
-    return 2.0 * (w - (u @ w) * u)
+def evaluate(matrix: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
+    """``F(u) = u^T M_d u`` and its gradient projected onto the sphere
+    tangent at ``u``. Expects ``u`` of unit norm."""
+    w = matrix @ u
+    f_value = float(u @ w)
+    return f_value, 2.0 * (w - f_value * u)
 
 
 def _retract(v: np.ndarray) -> np.ndarray | None:
@@ -240,10 +226,8 @@ def solve_relaxation(
 
     outer = 0
     while True:
-        matrix = mask_f * (1.0 + d) - d
-        m = PenalizedMatrix(mask=mask, d=d, matrix=matrix)
-        w = matrix @ u
-        f_value = float(u @ w)
+        matrix = penalized_matrix(mask_f, d)
+        f_value, grad = evaluate(matrix, u)
 
         binary, support = _is_binary_state(g, u, f_value, tol)
         if binary:
@@ -263,7 +247,6 @@ def solve_relaxation(
         if diagnostics is not None:
             diagnostics.outer_rounds = outer
 
-        grad = 2.0 * (w - f_value * u)
         steps_this_round = 0
         for _ in range(MAX_INNER_ITERATIONS):
             # A stationary iterate cannot improve; leave the inner loop
@@ -278,8 +261,7 @@ def solve_relaxation(
             for _halving in range(MAX_BACKTRACKS_PER_STEP + 1):
                 trial = _retract(u + alpha * grad)
                 if trial is not None:
-                    w_trial = matrix @ trial
-                    f_trial = float(trial @ w_trial)
+                    f_trial, grad_trial = evaluate(matrix, trial)
                     delta_u = trial - u
                     delta_f = f_trial - f_value
                     required = params.sigma * float(grad @ delta_u)
@@ -289,7 +271,7 @@ def solve_relaxation(
                         numerically_stationary = True
                         break
                     if delta_f >= required:
-                        accepted = (trial, w_trial, f_trial, delta_u, delta_f)
+                        accepted = (trial, f_trial, grad_trial, delta_u, delta_f)
                         alpha /= math.sqrt(params.beta)
                         break
                 alpha *= params.beta
@@ -302,8 +284,7 @@ def solve_relaxation(
                     last_iterate=u.copy(),
                     penalty=d,
                 )
-            u, w, f_value, delta_u, delta_f = accepted
-            grad = 2.0 * (w - f_value * u)
+            u, f_value, grad, delta_u, delta_f = accepted
             steps_this_round += 1
             if diagnostics is not None:
                 diagnostics.inner_steps += 1

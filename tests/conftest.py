@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from cliquereg import Graph
+from cliquereg.relaxation import penalized_matrix
 
 hypothesis.settings.register_profile(
     "fast", max_examples=25, deadline=None
@@ -19,6 +20,12 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     adj = np.triu(upper, k=1)
     adj = adj | adj.T
     return Graph.from_adjacency(adj)
+
+
+def solver_matrix(g: Graph, d: float) -> np.ndarray:
+    """M_d built by the solver's own code from the adjacency-plus-identity mask."""
+    mask_f = (g.adjacency_matrix() | np.eye(g.n, dtype=bool)).astype(float)
+    return penalized_matrix(mask_f, d)
 
 
 @pytest.fixture

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's algorithms and data paths: core
 numbers by literal peeling, maximum cliques by exhaustive subset
-enumeration, derivatives by central differences on the sphere.
+enumeration, the penalized matrix entry by entry, derivatives by
+central differences on the sphere.
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ def brute_force_max_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
     best_mask = int(masks[np.argmax(sizes)])
     members = tuple(v for v in range(n) if (best_mask >> v) & 1)
     return len(members), members
+
+
+def dense_penalized_matrix(g: Graph, d: float) -> np.ndarray:
+    """M_d entry by entry: 1 on edges and the diagonal, -d elsewhere."""
+    mask = g.adjacency_matrix() | np.eye(g.n, dtype=bool)
+    return np.where(mask, 1.0, -float(d))
 
 
 def sphere_directional_derivative(

@@ -28,9 +28,6 @@ from cliquereg import (
     greedy_maximal_clique,
     load_dimacs,
     max_clique_exact,
-    objective,
-    penalized_matrix,
-    projected_gradient,
     prune_by_core,
     register_clouds,
     registration_errors,
@@ -40,9 +37,14 @@ from cliquereg import (
     validate_clique,
 )
 from cliquereg.registration import Association, PointCloud, RigidTransform
+from cliquereg.relaxation import evaluate
 
-from .conftest import random_graph
-from .oracles import brute_force_max_clique, sphere_directional_derivative
+from .conftest import random_graph, solver_matrix
+from .oracles import (
+    brute_force_max_clique,
+    dense_penalized_matrix,
+    sphere_directional_derivative,
+)
 
 WORKED_EDGES = [(1, 4), (2, 3), (2, 5), (3, 5)]
 
@@ -57,7 +59,7 @@ def test_criterion_01_worked_example_exactness():
     expected = (1, 2, 4)  # vertices 2, 3, 5 in 1-based labels
 
     k = core_numbers(g)
-    assert greedy_maximal_clique(g, k).clique.members == expected
+    assert greedy_maximal_clique(g, k).members == expected
     assert solve_relaxation(g, uniform_initial_guess(5)).members == expected
     assert clipper_plus(g).clique.members == expected
     assert max_clique_exact(g).members == expected
@@ -67,9 +69,9 @@ def test_criterion_01_worked_example_exactness():
     edge = np.zeros(5)
     edge[[0, 3]] = 1.0 / math.sqrt(2.0)
     for d in (0.0, 1.0, 7.0):
-        m = penalized_matrix(g, d)
-        assert abs(objective(triangle, m) - 3.0) <= 1e-12
-        assert abs(objective(edge, m) - 2.0) <= 1e-12
+        matrix = solver_matrix(g, d)
+        assert abs(evaluate(matrix, triangle)[0] - 3.0) <= 1e-12
+        assert abs(evaluate(matrix, edge)[0] - 2.0) <= 1e-12
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -101,7 +103,7 @@ def test_criterion_03_pruning_soundness():
         p = probabilities[i % 3]
         g = random_graph(rng, n, p)
         k = core_numbers(g)
-        greedy = greedy_maximal_clique(g, k).clique
+        greedy = greedy_maximal_clique(g, k)
         omega = max_clique_exact(g).size
         pruned = prune_by_core(g, k, greedy.size)
         best = greedy.size
@@ -235,7 +237,7 @@ def test_criterion_07_gradient_matches_finite_differences():
     while checked < 50:
         n = int(rng.integers(2, 30))
         g = random_graph(rng, n, float(rng.uniform(0.1, 0.9)))
-        m = penalized_matrix(g, float(rng.uniform(0.0, n + 1)))
+        d = float(rng.uniform(0.0, n + 1))
         u = rng.uniform(0.05, 1.0, size=n)
         u /= np.linalg.norm(u)
         direction = rng.normal(size=n)
@@ -244,8 +246,10 @@ def test_criterion_07_gradient_matches_finite_differences():
         if norm < 1e-12:
             continue
         direction /= norm
-        analytic = float(projected_gradient(u, m) @ direction)
-        numeric = sphere_directional_derivative(m.matrix, u, direction)
+        analytic = float(evaluate(solver_matrix(g, d), u)[1] @ direction)
+        numeric = sphere_directional_derivative(
+            dense_penalized_matrix(g, d), u, direction
+        )
         scale = max(abs(analytic), abs(numeric), 1e-12)
         assert abs(analytic - numeric) / scale <= 1e-6
         checked += 1

@@ -72,6 +72,13 @@ class TestSolve:
         params.write_text(json.dumps({"sigma": 2.0}))
         assert main(["solve", graph_file, "--params", str(params)]) == 1
 
+    def test_nan_param_rejected(self, graph_file, tmp_path, capsys):
+        # Python's json reads the bare token NaN as a float.
+        params = tmp_path / "params.json"
+        params.write_text('{"d0": NaN}')
+        assert main(["solve", graph_file, "--params", str(params)]) == 1
+        assert "d0" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_no_command(self, capsys):
@@ -177,6 +184,15 @@ class TestRegisterAndGenScene:
             ["register", "--cloud-a", str(a), "--cloud-b", str(a),
              "--associations", str(assoc)]
         ) == 1
+
+    def test_register_nan_epsilon_is_input_error(self, tmp_path, capsys):
+        scene_path = tmp_path / "scene.json"
+        main(["gen-scene", "--points", "20", "--clutter", "5",
+              "--associations", "10", "--out", str(scene_path)])
+        assert main(
+            ["register", "--scenario", str(scene_path), "--epsilon", "nan"]
+        ) == 1
+        assert "epsilon" in capsys.readouterr().err
 
     def test_register_scenario_excludes_raw_files(self, tmp_path, capsys):
         scene_path = tmp_path / "scene.json"

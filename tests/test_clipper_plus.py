@@ -76,7 +76,7 @@ class TestPruneByCore:
             p = float(rng.uniform(0.1, 0.9))
             g = random_graph(rng, n, p)
             k = core_numbers(g)
-            greedy = greedy_maximal_clique(g, k).clique
+            greedy = greedy_maximal_clique(g, k)
             pruned = prune_by_core(g, k, greedy.size)
             best = greedy.size
             if pruned.graph.n > 0:
@@ -103,7 +103,7 @@ class TestClipperPlus:
     def test_relaxation_improves_on_greedy(self):
         g = Graph.from_edge_list(14, GREEDY_SUBOPTIMAL_EDGES)
         k = core_numbers(g)
-        assert greedy_maximal_clique(g, k).clique.size == 7
+        assert greedy_maximal_clique(g, k).size == 7
         report = clipper_plus(g)
         assert report.greedy_size == 7
         assert report.clique.members == (3, 5, 6, 8, 10, 11, 12, 13)
@@ -139,7 +139,7 @@ class TestClipperPlus:
             p = float(rng.uniform(0.1, 0.9))
             g = random_graph(rng, n, p)
             k = core_numbers(g)
-            greedy = greedy_maximal_clique(g, k).clique
+            greedy = greedy_maximal_clique(g, k)
             report = clipper_plus(g)
             assert report.clique.size >= greedy.size
             check = validate_clique(g, report.clique.members)

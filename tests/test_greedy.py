@@ -24,17 +24,17 @@ def complete_graph(n: int) -> Graph:
 class TestGreedy:
     def test_worked_example_finds_triangle(self, triangle_plus_edge):
         res = greedy_maximal_clique(triangle_plus_edge, core_numbers(triangle_plus_edge))
-        assert res.clique.members == (1, 2, 4)
+        assert res.members == (1, 2, 4)
 
     def test_complete_graph_returns_everything(self):
         g = complete_graph(6)
         res = greedy_maximal_clique(g, core_numbers(g))
-        assert res.clique.members == (0, 1, 2, 3, 4, 5)
+        assert res.members == (0, 1, 2, 3, 4, 5)
 
     def test_edgeless_graph_returns_single_vertex(self):
         g = Graph.from_edge_list(4, [])
         res = greedy_maximal_clique(g, core_numbers(g))
-        assert res.clique.size == 1
+        assert res.size == 1
 
     def test_empty_graph_rejected(self):
         g = Graph.from_edge_list(0, [])
@@ -50,22 +50,9 @@ class TestGreedy:
         rng = np.random.default_rng(3)
         g = random_graph(rng, 40, 0.4)
         k = core_numbers(g)
-        first = greedy_maximal_clique(g, k).clique.members
+        first = greedy_maximal_clique(g, k).members
         for _ in range(5):
-            assert greedy_maximal_clique(g, k).clique.members == first
-
-    def test_trace_is_monotone_and_ends_at_best(self, triangle_plus_edge):
-        res = greedy_maximal_clique(
-            triangle_plus_edge, core_numbers(triangle_plus_edge), record_trace=True
-        )
-        trace = res.best_size_trace
-        assert trace is not None and len(trace) == triangle_plus_edge.n
-        assert all(a <= b for a, b in zip(trace, trace[1:]))
-        assert trace[-1] == res.clique.size
-
-    def test_trace_absent_by_default(self, triangle_plus_edge):
-        res = greedy_maximal_clique(triangle_plus_edge, core_numbers(triangle_plus_edge))
-        assert res.best_size_trace is None
+            assert greedy_maximal_clique(g, k).members == first
 
     def test_against_exhaustive_oracle_on_200_random_graphs(self):
         rng = np.random.default_rng(11)
@@ -74,7 +61,7 @@ class TestGreedy:
             p = float(rng.uniform(0.1, 0.9))
             g = random_graph(rng, n, p)
             k = core_numbers(g)
-            found = greedy_maximal_clique(g, k).clique
+            found = greedy_maximal_clique(g, k)
             check = validate_clique(g, found.members)
             assert check.is_clique and check.is_maximal
             omega, _ = brute_force_max_clique(g)
@@ -90,5 +77,5 @@ def test_greedy_always_returns_maximal_clique(data):
     seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
     g = random_graph(np.random.default_rng(seed), n, p)
     res = greedy_maximal_clique(g, core_numbers(g))
-    check = validate_clique(g, res.clique.members)
+    check = validate_clique(g, res.members)
     assert check.is_clique and check.is_maximal

@@ -110,6 +110,14 @@ class TestConsistencyGraph:
         with pytest.raises(InputError):
             build_consistency_graph(a, a, [Association(0, 5)], 1.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        # NaN compares false against every distance, so it would otherwise
+        # give an edgeless graph without complaint.
+        a = PointCloud(np.zeros((2, 3)))
+        with pytest.raises(InputError, match="finite"):
+            build_consistency_graph(a, a, [Association(0, 0)], epsilon)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_rigid_motion_preserves_all_consistencies(self, seed):

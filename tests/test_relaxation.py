@@ -10,18 +10,15 @@ from cliquereg import (
     InputError,
     SolverFailure,
     SolverParams,
-    objective,
-    penalized_matrix,
-    projected_gradient,
     solve_relaxation,
     uniform_initial_guess,
     validate_clique,
 )
 from cliquereg import relaxation
-from cliquereg.relaxation import RelaxationDiagnostics
+from cliquereg.relaxation import RelaxationDiagnostics, evaluate
 
-from .conftest import random_graph
-from .oracles import sphere_directional_derivative
+from .conftest import random_graph, solver_matrix
+from .oracles import dense_penalized_matrix, sphere_directional_derivative
 
 
 def complete_graph(n: int) -> Graph:
@@ -32,33 +29,40 @@ def complete_graph(n: int) -> Graph:
 
 class TestPenalizedMatrix:
     def test_entries(self, triangle_plus_edge):
-        m = penalized_matrix(triangle_plus_edge, 2.0)
+        matrix = solver_matrix(triangle_plus_edge, 2.0)
         # non-adjacent pair (0-based 0,1) gets -d, edge (1,2) keeps 1
-        assert m.matrix[0, 1] == -2.0
-        assert m.matrix[1, 2] == 1.0
-        assert np.all(np.diag(m.matrix) == 1.0)
-        assert np.array_equal(m.matrix == 1.0, m.mask)
+        assert matrix[0, 1] == -2.0
+        assert matrix[1, 2] == 1.0
+        assert np.all(np.diag(matrix) == 1.0)
+        assert np.array_equal(matrix, dense_penalized_matrix(triangle_plus_edge, 2.0))
 
     def test_zero_penalty_is_adjacency_plus_identity(self, triangle_plus_edge):
-        m = penalized_matrix(triangle_plus_edge, 0.0)
+        matrix = solver_matrix(triangle_plus_edge, 0.0)
         expected = triangle_plus_edge.adjacency_matrix().astype(float) + np.eye(5)
-        assert np.array_equal(m.matrix, expected)
+        assert np.array_equal(matrix, expected)
 
-    def test_negative_penalty_rejected(self, triangle_plus_edge):
-        with pytest.raises(InputError, match="non-negative"):
-            penalized_matrix(triangle_plus_edge, -0.5)
+    def test_matches_reference_for_any_penalty(self):
+        # (1 + d) - d rounds away from 1 for some d, so allow an ulp.
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            n = int(rng.integers(1, 20))
+            g = random_graph(rng, n, float(rng.uniform(0.1, 0.9)))
+            d = float(rng.uniform(0.0, 2.0 * n))
+            assert np.allclose(
+                solver_matrix(g, d), dense_penalized_matrix(g, d), rtol=0, atol=1e-12
+            )
 
 
 class TestObjective:
     def test_triangle_indicator_scores_three(self, triangle_plus_edge):
-        m = penalized_matrix(triangle_plus_edge, 2.0)
         u = np.array([0.0, 1.0, 1.0, 0.0, 1.0]) / math.sqrt(3)
-        assert objective(u, m) == pytest.approx(3.0, abs=1e-12)
+        f_value, _ = evaluate(solver_matrix(triangle_plus_edge, 2.0), u)
+        assert f_value == pytest.approx(3.0, abs=1e-12)
 
     def test_edge_indicator_scores_two(self, triangle_plus_edge):
-        m = penalized_matrix(triangle_plus_edge, 2.0)
         u = np.array([1.0, 0.0, 0.0, 1.0, 0.0]) / math.sqrt(2)
-        assert objective(u, m) == pytest.approx(2.0, abs=1e-12)
+        f_value, _ = evaluate(solver_matrix(triangle_plus_edge, 2.0), u)
+        assert f_value == pytest.approx(2.0, abs=1e-12)
 
     def test_clique_indicator_score_is_penalty_free(self):
         # Indicator of a clique never touches penalized entries, so the
@@ -66,31 +70,31 @@ class TestObjective:
         g = complete_graph(4)
         u = uniform_initial_guess(4)
         for d in (0.0, 1.0, 7.5):
-            assert objective(u, penalized_matrix(g, d)) == pytest.approx(4.0)
+            f_value, _ = evaluate(solver_matrix(g, d), u)
+            assert f_value == pytest.approx(4.0)
 
 
 class TestProjectedGradient:
     def test_two_vertex_worked_value(self):
         g = Graph.from_edge_list(2, [])
-        m = penalized_matrix(g, 1.0)
-        grad = projected_gradient(np.array([1.0, 0.0]), m)
+        _, grad = evaluate(solver_matrix(g, 1.0), np.array([1.0, 0.0]))
         assert np.allclose(grad, [0.0, -2.0], atol=1e-15)
 
     def test_eigenvector_gives_zero_gradient(self):
         # On a complete graph M_d is the all-ones matrix; the uniform
         # vector is its leading eigenvector, so the tangent gradient is 0.
         g = complete_graph(5)
-        m = penalized_matrix(g, 3.0)
-        grad = projected_gradient(uniform_initial_guess(5), m)
+        _, grad = evaluate(solver_matrix(g, 3.0), uniform_initial_guess(5))
         assert np.allclose(grad, 0.0, atol=1e-12)
 
     def test_orthogonal_to_iterate(self, triangle_plus_edge):
         rng = np.random.default_rng(0)
-        m = penalized_matrix(triangle_plus_edge, 2.0)
+        matrix = solver_matrix(triangle_plus_edge, 2.0)
         for _ in range(10):
             u = rng.uniform(size=5)
             u /= np.linalg.norm(u)
-            assert abs(projected_gradient(u, m) @ u) < 1e-12
+            _, grad = evaluate(matrix, u)
+            assert abs(grad @ u) < 1e-12
 
     def test_matches_sphere_finite_differences_on_50_triples(self):
         rng = np.random.default_rng(99)
@@ -101,15 +105,16 @@ class TestProjectedGradient:
             d = float(rng.uniform(0.0, 2.0 * n))
             u = rng.uniform(0.05, 1.0, size=n)
             u /= np.linalg.norm(u)
-            m = penalized_matrix(g, d)
-            grad = projected_gradient(u, m)
+            _, grad = evaluate(solver_matrix(g, d), u)
             direction = rng.normal(size=n)
             direction -= (direction @ u) * u
             norm = np.linalg.norm(direction)
             if norm < 1e-9:
                 continue
             direction /= norm
-            numeric = sphere_directional_derivative(m.matrix, u, direction)
+            numeric = sphere_directional_derivative(
+                dense_penalized_matrix(g, d), u, direction
+            )
             analytic = float(grad @ direction)
             assert numeric == pytest.approx(analytic, rel=1e-6, abs=1e-9)
             checked += 1
@@ -125,6 +130,12 @@ class TestSolverParams:
             SolverParams(tol=-1.0)
         with pytest.raises(InputError):
             SolverParams(d0=-0.1)
+
+    @pytest.mark.parametrize("name", ["tol", "d0", "d_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_constants(self, name, value):
+        with pytest.raises(InputError, match=name):
+            SolverParams(**{name: value})
 
     def test_d_max_below_vertex_count_rejected(self, triangle_plus_edge):
         params = SolverParams(d_max=3.0)
