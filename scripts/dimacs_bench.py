@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from cliquereg import bench_dimacs, write_records
-from cliquereg.bench import DIMACS_OMEGA
+from cliquereg.bench import ALGORITHM_NAMES, DIMACS_OMEGA
 
 
 def main() -> int:
@@ -23,7 +23,7 @@ def main() -> int:
     parser.add_argument("--out", default="dimacs_bench.csv",
                         help="records CSV/JSON path (default %(default)s)")
     parser.add_argument("--algo", action="append",
-                        choices=("greedy", "relax", "clipper+", "exact"),
+                        choices=ALGORITHM_NAMES,
                         help="repeatable; default greedy and clipper+")
     args = parser.parse_args()
 

@@ -12,6 +12,7 @@ import sys
 import time
 
 from cliquereg import SweepConfig, bench_synthetic, write_records
+from cliquereg.bench import ALGORITHM_NAMES
 
 
 def main() -> int:
@@ -22,7 +23,7 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=None,
                         help="override trials per increment")
     parser.add_argument("--algo", action="append",
-                        choices=("greedy", "relax", "clipper+", "exact"),
+                        choices=ALGORITHM_NAMES,
                         help="repeatable; default greedy and clipper+")
     parser.add_argument("--full", action="store_true",
                         help="full-scale protocol instead of desk scale")

@@ -22,6 +22,7 @@ import numpy as np
 from .clipper_plus import (
     DEFAULT_EXACT_BUDGET,
     ClipperPlusReport,
+    accuracy_ratio,
     clipper_plus,
     max_clique_exact,
 )
@@ -220,7 +221,7 @@ def bench_dimacs(
                     algo=name,
                     clique_size=run.clique.size,
                     omega_gt=omega,
-                    r=None if omega is None else run.clique.size / omega,
+                    r=None if omega is None else accuracy_ratio(run.clique.size, omega),
                     runtime_ms=run.runtime_ms,
                     seed=None,
                     early_terminated=run.early_terminated,
@@ -284,7 +285,7 @@ def bench_synthetic(
                         file=sys.stderr,
                     )
                     continue
-                r = None if omega is None else run.clique.size / omega
+                r = None if omega is None else accuracy_ratio(run.clique.size, omega)
                 records.append(
                     BenchRecord(
                         graph_id=graph_id,

@@ -27,12 +27,6 @@ DEFAULT_EXACT_BUDGET = 20_000_000
 
 
 @dataclass(frozen=True)
-class PrunedGraph:
-    graph: Graph
-    index_map: tuple[int, ...]  # local vertex -> original vertex
-
-
-@dataclass(frozen=True)
 class ClipperPlusReport:
     """Outcome of the combined solver, with per-phase timing in ms."""
 
@@ -48,19 +42,21 @@ class ClipperPlusReport:
     relax_ms: float
 
 
-def prune_by_core(g: Graph, k: CoreNumbers, threshold: int) -> PrunedGraph:
+def prune_by_core(
+    g: Graph, k: CoreNumbers, threshold: int
+) -> tuple[Graph, tuple[int, ...]]:
     """Keep only vertices with core number >= threshold.
 
-    Any clique strictly larger than ``threshold`` lives entirely among the
-    survivors, so pruning never discards an improving clique.
+    Returns the subgraph on the survivors plus its local-to-original index
+    map. Any clique strictly larger than ``threshold`` lives entirely among
+    the survivors, so pruning never discards an improving clique.
     """
     if len(k.values) != g.n:
         raise InputError(
             f"core-number vector has length {len(k.values)}, expected {g.n}"
         )
     keep = [v for v in range(g.n) if k.values[v] >= threshold]
-    sub, index_map = g.induced_subgraph(keep)
-    return PrunedGraph(graph=sub, index_map=index_map)
+    return g.induced_subgraph(keep)
 
 
 def clipper_plus(g: Graph, params: SolverParams | None = None) -> ClipperPlusReport:
@@ -77,14 +73,14 @@ def clipper_plus(g: Graph, params: SolverParams | None = None) -> ClipperPlusRep
     t1 = time.perf_counter()
     greedy = greedy_maximal_clique(g, k)
     t2 = time.perf_counter()
-    pruned = prune_by_core(g, k, greedy.size)
+    pruned, index_map = prune_by_core(g, k, greedy.size)
     t3 = time.perf_counter()
 
     core_ms = (t1 - t0) * 1e3
     greedy_ms = (t2 - t1) * 1e3
     prune_ms = (t3 - t2) * 1e3
 
-    if pruned.graph.n == 0:
+    if pruned.n == 0:
         # No vertex can sit in a clique larger than the greedy one: the
         # greedy clique is a maximum clique.
         return ClipperPlusReport(
@@ -102,15 +98,15 @@ def clipper_plus(g: Graph, params: SolverParams | None = None) -> ClipperPlusRep
 
     greedy_members = set(greedy.members)
     guess = np.array(
-        [0.0 if v in greedy_members else 1.0 for v in pruned.index_map]
+        [0.0 if v in greedy_members else 1.0 for v in index_map]
     )
     t4 = time.perf_counter()
     degraded = False
     best = greedy
     relaxed_size = 0
     try:
-        local = solve_relaxation(pruned.graph, guess, params)
-        relaxed = Clique.of(pruned.index_map[v] for v in local.members)
+        local = solve_relaxation(pruned, guess, params)
+        relaxed = Clique.of(index_map[v] for v in local.members)
         relaxed_size = relaxed.size
         if relaxed.size > greedy.size:
             best = relaxed
@@ -121,7 +117,7 @@ def clipper_plus(g: Graph, params: SolverParams | None = None) -> ClipperPlusRep
     return ClipperPlusReport(
         clique=best,
         greedy_size=greedy.size,
-        pruned_n=pruned.graph.n,
+        pruned_n=pruned.n,
         early_terminated=False,
         relaxation_ran=True,
         degraded=degraded,
@@ -163,16 +159,6 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
     # Min-degree peeling order; searching it in reverse keeps candidate
     # sets small (each vertex is combined only with later survivors).
     peel = sorted(range(g.n), key=lambda v: (k.values[v], v))
-    rank = {v: i for i, v in enumerate(peel)}
-    later = [0] * g.n
-    for v in range(g.n):
-        mask = rows[v]
-        while mask:
-            low = mask & -mask
-            u = low.bit_length() - 1
-            mask ^= low
-            if rank[u] > rank[v]:
-                later[v] |= 1 << u
 
     nodes_left = budget
     stack: list[int] = []
@@ -218,11 +204,12 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
             stack.pop()
             current &= ~(1 << v)
 
+    after = 0  # the vertices that follow v in the peel order
     for v in reversed(peel):
-        if k.values[v] + 1 <= best_size:
-            continue
-        stack.append(v)
-        expand(later[v])
-        stack.pop()
+        if k.values[v] + 1 > best_size:
+            stack.append(v)
+            expand(rows[v] & after)
+            stack.pop()
+        after |= 1 << v
 
     return Clique.of(best)

@@ -8,7 +8,7 @@ by the constructors and parsers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,7 +22,8 @@ class Graph:
     Adjacency is one bitmask per vertex: bit ``j`` of ``rows[i]`` is set iff
     ``i`` and ``j`` are adjacent. Bitmasks make pairwise adjacency tests and
     candidate-set intersections cheap for every solver in the package.
-    Instances are immutable and safe to share.
+    Conversion to and from boolean matrices goes through ``_pack`` and
+    ``_unpack`` only. Instances are immutable and safe to share.
     """
 
     n: int
@@ -67,25 +68,13 @@ class Graph:
             raise InputError("adjacency matrix has a true diagonal entry")
         if not np.array_equal(mat, mat.T):
             raise InputError("adjacency matrix is not symmetric")
-        n = mat.shape[0]
-        rows = []
-        for i in range(n):
-            packed = np.packbits(mat[i], bitorder="little").tobytes()
-            rows.append(int.from_bytes(packed, "little"))
-        count = int(np.count_nonzero(mat)) // 2
-        return cls(n=n, rows=tuple(rows), edge_count=count)
+        return _pack(mat)
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
 
     def neighbors(self, v: int) -> list[int]:
-        mask = self.rows[v]
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        return list(_bits(self.rows[v]))
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
@@ -95,13 +84,7 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency matrix (fresh copy)."""
-        n = self.n
-        mat = np.zeros((n, n), dtype=bool)
-        nbytes = (n + 7) // 8
-        for i, row in enumerate(self.rows):
-            bits = np.frombuffer(row.to_bytes(nbytes, "little"), dtype=np.uint8)
-            mat[i] = np.unpackbits(bits, bitorder="little")[:n]
-        return mat
+        return _unpack(self.rows, self.n)
 
     def induced_subgraph(self, vertices: Sequence[int]) -> tuple["Graph", tuple[int, ...]]:
         """Subgraph on ``vertices`` plus the local-to-original index map."""
@@ -109,18 +92,35 @@ class Graph:
         for v in keep:
             if not (0 <= v < self.n):
                 raise InputError(f"vertex {v} outside 0..{self.n - 1}")
-        local = {v: i for i, v in enumerate(keep)}
-        rows = [0] * len(keep)
-        for v in keep:
-            mask = self.rows[v]
-            while mask:
-                low = mask & -mask
-                w = low.bit_length() - 1
-                mask ^= low
-                if w in local:
-                    rows[local[v]] |= 1 << local[w]
-        count = sum(r.bit_count() for r in rows) // 2
-        return Graph(n=len(keep), rows=tuple(rows), edge_count=count), tuple(keep)
+        kept_rows = _unpack([self.rows[v] for v in keep], self.n)
+        return _pack(kept_rows[:, keep]), tuple(keep)
+
+
+def _pack(mat: np.ndarray) -> Graph:
+    """Graph of a square, symmetric, loop-free boolean matrix (unchecked).
+
+    Row ``i`` becomes the little-endian bitset of ``mat[i]``: bit ``j`` is
+    entry ``j``.
+    """
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    rows = tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
+    return Graph(n=mat.shape[0], rows=rows, edge_count=int(np.count_nonzero(mat)) // 2)
+
+
+def _unpack(rows: Sequence[int], n: int) -> np.ndarray:
+    """Boolean ``(len(rows), n)`` matrix of little-endian bitset rows."""
+    nbytes = (n + 7) // 8
+    buf = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -185,13 +185,11 @@ def core_numbers(g: Graph) -> CoreNumbers:
     bins[0] = 0
 
     core = degree[:]
+    unpeeled = (1 << n) - 1
     for i in range(n):
         v = vert[i]
-        mask = g.rows[v]
-        while mask:
-            low = mask & -mask
-            u = low.bit_length() - 1
-            mask ^= low
+        unpeeled ^= 1 << v
+        for u in _bits(g.rows[v] & unpeeled):
             if core[u] > core[v]:
                 du, pu = core[u], pos[u]
                 pw = bins[du]

@@ -121,6 +121,18 @@ class Scenario:
     epsilon_inflation: float = 1.0
 
 
+def _distance_mismatch(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """``| ||pa_i - pa_k|| - ||pb_i - pb_k|| |`` for every pair of rows i, k.
+
+    The consistency graph and the scene generator's threshold inflation
+    both call this, so the planted inliers are a clique under exactly the
+    numbers the graph build compares.
+    """
+    da = np.linalg.norm(pa[:, None, :] - pa[None, :, :], axis=2)
+    db = np.linalg.norm(pb[:, None, :] - pb[None, :, :], axis=2)
+    return np.abs(da - db)
+
+
 def build_consistency_graph(
     cloud_a: PointCloud,
     cloud_b: PointCloud,
@@ -144,11 +156,7 @@ def build_consistency_graph(
         raise InputError("association references a point outside cloud A")
     if bi.min() < 0 or bi.max() >= len(cloud_b):
         raise InputError("association references a point outside cloud B")
-    pa = cloud_a.points[ai]
-    pb = cloud_b.points[bi]
-    da = np.linalg.norm(pa[:, None, :] - pa[None, :, :], axis=2)
-    db = np.linalg.norm(pb[:, None, :] - pb[None, :, :], axis=2)
-    consistent = np.abs(da - db) < epsilon
+    consistent = _distance_mismatch(cloud_a.points[ai], cloud_b.points[bi]) < epsilon
     distinct = (ai[:, None] != ai[None, :]) & (bi[:, None] != bi[None, :])
     adj = consistent & distinct
     np.fill_diagonal(adj, False)
@@ -335,11 +343,7 @@ def synthetic_scene(
     inflation = 1.0
     if n_inliers >= 2:
         ia = np.array([a.a_index for a, m in zip(associations, mask) if m])
-        pa = points_a[ia]
-        pb = points_b[ia]
-        da = np.linalg.norm(pa[:, None, :] - pa[None, :, :], axis=2)
-        db = np.linalg.norm(pb[:, None, :] - pb[None, :, :], axis=2)
-        worst = float(np.abs(da - db).max())
+        worst = float(_distance_mismatch(points_a[ia], points_b[ia]).max())
         if worst >= eps:
             needed = math.nextafter(worst, math.inf)
             inflation = needed / eps

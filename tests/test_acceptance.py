@@ -105,10 +105,10 @@ def test_criterion_03_pruning_soundness():
         k = core_numbers(g)
         greedy = greedy_maximal_clique(g, k)
         omega = max_clique_exact(g).size
-        pruned = prune_by_core(g, k, greedy.size)
+        pruned, _ = prune_by_core(g, k, greedy.size)
         best = greedy.size
-        if pruned.graph.n > 0:
-            best = max(best, max_clique_exact(pruned.graph).size)
+        if pruned.n > 0:
+            best = max(best, max_clique_exact(pruned).size)
         else:
             early_count += 1
             assert greedy.size == omega

@@ -43,22 +43,22 @@ GREEDY_SUBOPTIMAL_EDGES = [
 class TestPruneByCore:
     def test_worked_example_threshold_two(self, triangle_plus_edge):
         k = core_numbers(triangle_plus_edge)
-        pruned = prune_by_core(triangle_plus_edge, k, 2)
-        assert pruned.index_map == (1, 2, 4)
-        assert pruned.graph.n == 3
-        assert pruned.graph.edge_count == 3
+        pruned, index_map = prune_by_core(triangle_plus_edge, k, 2)
+        assert index_map == (1, 2, 4)
+        assert pruned.n == 3
+        assert pruned.edge_count == 3
 
     def test_worked_example_threshold_three_empties(self, triangle_plus_edge):
         k = core_numbers(triangle_plus_edge)
-        pruned = prune_by_core(triangle_plus_edge, k, 3)
-        assert pruned.graph.n == 0
-        assert pruned.index_map == ()
+        pruned, index_map = prune_by_core(triangle_plus_edge, k, 3)
+        assert pruned.n == 0
+        assert index_map == ()
 
     def test_threshold_zero_keeps_everything(self, triangle_plus_edge):
         k = core_numbers(triangle_plus_edge)
-        pruned = prune_by_core(triangle_plus_edge, k, 0)
-        assert pruned.index_map == (0, 1, 2, 3, 4)
-        assert pruned.graph.edge_count == triangle_plus_edge.edge_count
+        pruned, index_map = prune_by_core(triangle_plus_edge, k, 0)
+        assert index_map == (0, 1, 2, 3, 4)
+        assert pruned == triangle_plus_edge
 
     def test_core_vector_length_mismatch(self, triangle_plus_edge):
         from cliquereg.graph import CoreNumbers
@@ -77,10 +77,10 @@ class TestPruneByCore:
             g = random_graph(rng, n, p)
             k = core_numbers(g)
             greedy = greedy_maximal_clique(g, k)
-            pruned = prune_by_core(g, k, greedy.size)
+            pruned, _ = prune_by_core(g, k, greedy.size)
             best = greedy.size
-            if pruned.graph.n > 0:
-                best = max(best, max_clique_exact(pruned.graph).size)
+            if pruned.n > 0:
+                best = max(best, max_clique_exact(pruned).size)
             assert best == max_clique_exact(g).size
 
 

@@ -78,6 +78,24 @@ class TestConstruction:
         assert index_map == (1, 2, 4)
         assert sub.n == 3 and sub.edge_count == 3
 
+    def test_induced_subgraph_matches_matrix_slice(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 13, 37, 70):
+            g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+            full = g.adjacency_matrix()
+            random_keep = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            for keep in ([], list(range(n)), list(random_keep)):
+                sub, index_map = g.induced_subgraph(keep)
+                assert index_map == tuple(sorted(keep))
+                expected = full[np.ix_(index_map, index_map)]
+                assert np.array_equal(sub.adjacency_matrix(), expected)
+                assert sub.edge_count == np.count_nonzero(expected) // 2
+
+    def test_induced_subgraph_rejects_out_of_range(self, triangle_plus_edge):
+        for bad in (-1, triangle_plus_edge.n):
+            with pytest.raises(InputError, match="outside"):
+                triangle_plus_edge.induced_subgraph([0, bad])
+
 
 class TestCoreNumbers:
     def test_worked_example(self, triangle_plus_edge):

@@ -1,0 +1,39 @@
+"""Differential checks against networkx, an implementation independent of
+cliquereg, at sizes the exhaustive oracle in ``oracles.py`` cannot reach.
+Skipped when networkx is not installed; it is not a runtime dependency."""
+
+import numpy as np
+import pytest
+
+from cliquereg import Graph, core_numbers, max_clique_exact
+
+from .conftest import random_graph
+
+nx = pytest.importorskip("networkx")
+
+
+def to_networkx(g: Graph):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from((v, u) for v in range(g.n) for u in g.neighbors(v) if u > v)
+    return G
+
+
+def seeded_graphs(count: int):
+    rng = np.random.default_rng(2024)
+    for _ in range(count):
+        n = int(rng.integers(20, 81))
+        p = float(rng.uniform(0.1, 0.7))
+        yield random_graph(rng, n, p)
+
+
+def test_exact_clique_size_matches_networkx():
+    for g in seeded_graphs(40):
+        omega = nx.max_weight_clique(to_networkx(g), weight=None)[1]
+        assert max_clique_exact(g).size == omega
+
+
+def test_core_numbers_match_networkx():
+    for g in seeded_graphs(40):
+        expected = nx.core_number(to_networkx(g))
+        assert core_numbers(g).values == tuple(expected[v] for v in range(g.n))
