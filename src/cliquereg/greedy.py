@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import InputError
-from .graph import Clique, CoreNumbers, Graph
+from .graph import Clique, CoreNumbers, Graph, _bits
 
 
 def greedy_maximal_clique(g: Graph, k: CoreNumbers) -> Clique:
@@ -11,10 +11,16 @@ def greedy_maximal_clique(g: Graph, k: CoreNumbers) -> Clique:
 
     Vertices are visited in descending core-number order (ties broken by
     ascending index). A visited vertex is skipped unless its core number is
-    at least the best size found so far; otherwise its candidate neighbours
-    (same core-number filter, same ordering) are folded in one by one,
-    keeping only those adjacent to everything accepted so far. The result
-    is always a maximal clique; its size is a lower bound on the maximum.
+    at least the best size found so far, ``c_max``; otherwise its
+    neighbours with core number at least that ``c_max`` are folded in, in
+    the same order, keeping only those adjacent to everything accepted so
+    far. The result is always a maximal clique; its size is a lower bound
+    on the maximum.
+
+    The fold is bit-parallel: ``common`` is the set of vertices adjacent
+    to everything accepted, and each core level's bitmask picks from it
+    the lowest vertex still acceptable, so rejected neighbours are never
+    visited.
     """
     if g.n == 0:
         raise InputError("greedy clique search needs at least one vertex")
@@ -22,23 +28,30 @@ def greedy_maximal_clique(g: Graph, k: CoreNumbers) -> Clique:
         raise InputError(
             f"core-number vector has length {len(k.values)}, expected {g.n}"
         )
-    order = sorted(range(g.n), key=lambda v: (-k.values[v], v))
+    level_mask: dict[int, int] = {}
+    for v, c in enumerate(k.values):
+        level_mask[c] = level_mask.get(c, 0) | (1 << v)
+    levels = sorted(level_mask, reverse=True)
+    rows = g.rows
     best_members: tuple[int, ...] = ()
     c_max = 0
 
-    for v in order:
-        if k.values[v] >= c_max:
-            candidates = [u for u in g.neighbors(v) if k.values[u] >= c_max]
-            candidates.sort(key=lambda u: (-k.values[u], u))
-            grown_mask = 1 << v
+    for c_v in levels:
+        for v in _bits(level_mask[c_v]):
+            if c_v < c_max:
+                return Clique.of(best_members)
             grown = [v]
+            common = rows[v]
+            for c in levels:
+                if c < c_max or not common:
+                    break
+                pick = common & level_mask[c]
+                while pick:
+                    u = (pick & -pick).bit_length() - 1
+                    grown.append(u)
+                    common &= rows[u]
+                    pick &= common
             if len(grown) > c_max:
                 best_members, c_max = tuple(grown), len(grown)
-            for u in candidates:
-                if (grown_mask & ~g.rows[u]) == 0:
-                    grown_mask |= 1 << u
-                    grown.append(u)
-                if len(grown) > c_max:
-                    best_members, c_max = tuple(grown), len(grown)
 
     return Clique.of(best_members)

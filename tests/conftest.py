@@ -1,3 +1,5 @@
+import os
+
 import hypothesis
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ hypothesis.settings.register_profile(
 hypothesis.settings.register_profile(
     "ci", max_examples=100, deadline=None
 )
-hypothesis.settings.load_profile("fast")
+# CI selects the larger profile through the environment.
+hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "fast"))
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:

@@ -3,14 +3,16 @@
 These deliberately avoid the library's algorithms and data paths: core
 numbers by literal peeling, maximum cliques by exhaustive subset
 enumeration, the penalized matrix entry by entry, derivatives by
-central differences on the sphere.
+central differences on the sphere. Two are earlier forms of library
+code kept as references it must match exactly: the broadcast distance
+mismatch and the candidate-list greedy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cliquereg import Graph
+from cliquereg import CoreNumbers, Graph
 
 
 def naive_core_numbers(g: Graph) -> list[int]:
@@ -54,6 +56,41 @@ def brute_force_max_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
     best_mask = int(masks[np.argmax(sizes)])
     members = tuple(v for v in range(n) if (best_mask >> v) & 1)
     return len(members), members
+
+
+def broadcast_distance_mismatch(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """``| ||pa_i - pa_k|| - ||pb_i - pb_k|| |`` through (n, n, 3) differences."""
+    da = np.linalg.norm(pa[:, None, :] - pa[None, :, :], axis=2)
+    db = np.linalg.norm(pb[:, None, :] - pb[None, :, :], axis=2)
+    return np.abs(da - db)
+
+
+def reference_greedy(g: Graph, k: CoreNumbers) -> tuple[int, ...]:
+    """Degeneracy greedy with an explicit, sorted candidate list per seed.
+
+    Seeds go in (-core, index) order. A seed whose core number is at least
+    the best size so far, ``c_max``, tries its neighbours with core number
+    at least ``c_max`` in the same order, accepting each one adjacent to
+    everything accepted. Returns the sorted members of the best clique.
+    """
+    order = sorted(range(g.n), key=lambda v: (-k.values[v], v))
+    best_members: tuple[int, ...] = ()
+    c_max = 0
+    for v in order:
+        if k.values[v] >= c_max:
+            candidates = [u for u in g.neighbors(v) if k.values[u] >= c_max]
+            candidates.sort(key=lambda u: (-k.values[u], u))
+            grown_mask = 1 << v
+            grown = [v]
+            if len(grown) > c_max:
+                best_members, c_max = tuple(grown), len(grown)
+            for u in candidates:
+                if (grown_mask & ~g.rows[u]) == 0:
+                    grown_mask |= 1 << u
+                    grown.append(u)
+                if len(grown) > c_max:
+                    best_members, c_max = tuple(grown), len(grown)
+    return tuple(sorted(best_members))
 
 
 def dense_penalized_matrix(g: Graph, d: float) -> np.ndarray:

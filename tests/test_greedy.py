@@ -12,7 +12,7 @@ from cliquereg import (
 )
 
 from .conftest import random_graph
-from .oracles import brute_force_max_clique
+from .oracles import brute_force_max_clique, reference_greedy
 
 
 def complete_graph(n: int) -> Graph:
@@ -68,6 +68,40 @@ class TestGreedy:
             assert found.size <= omega
             # Any omega-clique forces core numbers >= omega - 1.
             assert k.max_core >= omega - 1
+
+    def test_seed_tries_higher_core_neighbours_first(self):
+        # Vertex 0 is the only vertex of core number 3. Every core-4 seed
+        # grows a triangle; seed 0 then folds in its core-4 neighbours
+        # 3, 4, 6 and finds the 4-clique.
+        edges = [(0, 3), (0, 4), (0, 6), (1, 2), (1, 4), (1, 5), (1, 6), (2, 3),
+                 (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6)]
+        g = Graph.from_edge_list(7, [(i + 1, j + 1) for i, j in edges])
+        k = core_numbers(g)
+        assert k.values == (3, 4, 4, 4, 4, 4, 4)
+        assert greedy_maximal_clique(g, k).members == (0, 3, 4, 6)
+        assert reference_greedy(g, k) == (0, 3, 4, 6)
+
+    def test_matches_candidate_list_reference_on_seeded_graphs(self):
+        # Small and mid-size G(n, p) across the density range: many
+        # vertices share a core number, so tie order and the c_max
+        # threshold decide which vertices are tried.
+        rng = np.random.default_rng(29)
+        for _ in range(150):
+            n = int(rng.integers(1, 121))
+            p = float(rng.uniform(0.05, 0.95))
+            g = random_graph(rng, n, p)
+            k = core_numbers(g)
+            assert greedy_maximal_clique(g, k).members == reference_greedy(g, k)
+
+
+@given(st.data())
+def test_greedy_matches_candidate_list_reference(data):
+    n = data.draw(st.integers(min_value=1, max_value=60))
+    p = data.draw(st.floats(min_value=0.0, max_value=1.0))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    g = random_graph(np.random.default_rng(seed), n, p)
+    k = core_numbers(g)
+    assert greedy_maximal_clique(g, k).members == reference_greedy(g, k)
 
 
 @given(st.data())

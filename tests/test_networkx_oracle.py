@@ -5,7 +5,7 @@ Skipped when networkx is not installed; it is not a runtime dependency."""
 import numpy as np
 import pytest
 
-from cliquereg import Graph, core_numbers, max_clique_exact
+from cliquereg import Graph, core_numbers, greedy_maximal_clique, max_clique_exact
 
 from .conftest import random_graph
 
@@ -19,10 +19,10 @@ def to_networkx(g: Graph):
     return G
 
 
-def seeded_graphs(count: int):
+def seeded_graphs(count: int, max_n: int = 80):
     rng = np.random.default_rng(2024)
     for _ in range(count):
-        n = int(rng.integers(20, 81))
+        n = int(rng.integers(20, max_n + 1))
         p = float(rng.uniform(0.1, 0.7))
         yield random_graph(rng, n, p)
 
@@ -37,3 +37,11 @@ def test_core_numbers_match_networkx():
     for g in seeded_graphs(40):
         expected = nx.core_number(to_networkx(g))
         assert core_numbers(g).values == tuple(expected[v] for v in range(g.n))
+
+
+def test_greedy_clique_is_maximal_per_networkx():
+    # find_cliques lists exactly the maximal cliques.
+    for g in seeded_graphs(40, max_n=60):
+        members = greedy_maximal_clique(g, core_numbers(g)).members
+        maximal = {tuple(sorted(c)) for c in nx.find_cliques(to_networkx(g))}
+        assert members in maximal

@@ -22,6 +22,9 @@ from cliquereg import (
     save_scenario,
     synthetic_scene,
 )
+from cliquereg.registration import _distance_mismatch
+
+from .oracles import broadcast_distance_mismatch
 
 
 def rotation_about_z(angle: float) -> np.ndarray:
@@ -100,6 +103,26 @@ class TestConsistencyGraph:
         assert build_consistency_graph(a, b, assoc, 0.5).edge_count == 0
         assert build_consistency_graph(a, b, assoc, 0.5 + 1e-9).edge_count == 1
 
+    def test_graph_matches_broadcast_reference_at_exact_ties(self):
+        # Epsilon is set to mismatch values that occur in the matrix, and
+        # associations reuse endpoints, so both the strict comparison and
+        # the endpoint rule decide edges here.
+        scene = synthetic_scene(80, 0.2, 80, 1.0, 150, 0.6, seed=3)
+        assoc = list(scene.associations) + [
+            Association(a.a_index, (a.b_index + 1) % len(scene.cloud_b))
+            for a in scene.associations[:20]
+        ]
+        ai = np.array([a.a_index for a in assoc])
+        bi = np.array([a.b_index for a in assoc])
+        mismatch = broadcast_distance_mismatch(
+            scene.cloud_a.points[ai], scene.cloud_b.points[bi]
+        )
+        distinct = (ai[:, None] != ai[None, :]) & (bi[:, None] != bi[None, :])
+        for epsilon in np.quantile(mismatch[distinct], [0.1, 0.5], method="lower"):
+            g = build_consistency_graph(scene.cloud_a, scene.cloud_b, assoc, epsilon)
+            want = (mismatch < epsilon) & distinct
+            assert np.array_equal(g.adjacency_matrix(), want)
+
     def test_input_validation(self):
         a = PointCloud(np.zeros((2, 3)))
         assoc = [Association(0, 0)]
@@ -132,6 +155,35 @@ class TestConsistencyGraph:
             PointCloud(pts), PointCloud(moved), assoc, epsilon=1e-9
         )
         assert g.edge_count == 8 * 7 // 2
+
+
+class TestDistanceMismatch:
+    """The kernel must equal the (n, n, 3) broadcast form byte for byte:
+    scene thresholds and graph edges are decided by exact comparisons."""
+
+    @staticmethod
+    def assert_same_bytes(pa, pb):
+        got = _distance_mismatch(pa, pb)
+        want = broadcast_distance_mismatch(pa, pb)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("ratio", [0.5, 0.95])
+    def test_matches_broadcast_on_seeded_scenes(self, seed, ratio):
+        scene = synthetic_scene(300, 0.2, 300, 1.0, 300, ratio, seed=seed)
+        ai = [a.a_index for a in scene.associations]
+        bi = [a.b_index for a in scene.associations]
+        self.assert_same_bytes(scene.cloud_a.points[ai], scene.cloud_b.points[bi])
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e6])
+    def test_matches_broadcast_with_duplicates_across_scales(self, scale):
+        rng = np.random.default_rng(17)
+        base = rng.uniform(-1.0, 1.0, size=(60, 3))
+        # Repeated rows give exact zero distances off the diagonal.
+        pa = scale * base[rng.integers(0, 40, size=120)]
+        pb = scale * random_rigid(rng).apply(base)[rng.integers(0, 40, size=120)]
+        self.assert_same_bytes(pa, pb)
 
 
 class TestRigidTransformFit:
