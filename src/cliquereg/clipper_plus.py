@@ -140,11 +140,16 @@ def accuracy_ratio(found_size: int, omega: int) -> float:
 def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
     """Exact maximum clique by branch and bound.
 
-    Vertices are preordered by the min-degree peeling order, the greedy
-    clique seeds the lower bound, and candidate sets are pruned with greedy
-    colouring upper bounds. ``budget`` caps the number of search-tree nodes;
-    running out raises :class:`BudgetExceeded` so callers can fall back to
-    the heuristics.
+    Vertices are preordered by the min-degree peeling order, and the greedy
+    clique seeds the lower bound. Each search-tree node colours its
+    candidates one class at a time on the bitsets (BBMC, San Segundo et al.
+    2011; see ``_colour_classes``), which gives the classes of first-fit
+    colouring in index order, already sorted by colour. The search branches
+    from the highest colour down and stops once the current clique plus a
+    colour cannot beat the best clique; the best clique only grows, so the
+    classes already below that bound when colouring are not listed.
+    ``budget`` caps the number of search-tree nodes; running out raises
+    :class:`BudgetExceeded` so callers can fall back to the heuristics.
     """
     if g.n == 0:
         raise InputError("clique search needs at least one vertex")
@@ -155,6 +160,8 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
     best = list(greedy_maximal_clique(g, k).members)
     best_size = len(best)
     rows = g.rows
+    # anti[v]: every vertex except v and its neighbours (a negative int).
+    anti = [~(row | 1 << v) for v, row in enumerate(rows)]
 
     # Min-degree peeling order; searching it in reverse keeps candidate
     # sets small (each vertex is combined only with later survivors).
@@ -162,25 +169,6 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
 
     nodes_left = budget
     stack: list[int] = []
-
-    def color_order(p_mask: int) -> list[tuple[int, int]]:
-        classes: list[int] = []
-        ordered: list[tuple[int, int]] = []
-        mask = p_mask
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            mask ^= low
-            for ci, cmask in enumerate(classes):
-                if not (rows[v] & cmask):
-                    classes[ci] |= low
-                    ordered.append((v, ci + 1))
-                    break
-            else:
-                classes.append(low)
-                ordered.append((v, len(classes)))
-        ordered.sort(key=lambda vc: vc[1])
-        return ordered
 
     def expand(p_mask: int) -> None:
         nonlocal best, best_size, nodes_left
@@ -194,7 +182,7 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
                 best = stack.copy()
                 best_size = len(best)
             return
-        ordered = color_order(p_mask)
+        ordered = _colour_classes(p_mask, anti, best_size - len(stack) + 1)
         current = p_mask
         for v, color in reversed(ordered):
             if len(stack) + color <= best_size:
@@ -202,7 +190,7 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
             stack.append(v)
             expand(current & rows[v])
             stack.pop()
-            current &= ~(1 << v)
+            current ^= 1 << v
 
     after = 0  # the vertices that follow v in the peel order
     for v in reversed(peel):
@@ -213,3 +201,29 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
         after |= 1 << v
 
     return Clique.of(best)
+
+
+def _colour_classes(
+    p_mask: int, anti: list[int], kmin: int
+) -> list[tuple[int, int]]:
+    """``(vertex, colour)`` pairs of the candidates ``p_mask``, by colour.
+
+    Colour ``c`` is the ``c``-th class built from the still-uncoloured
+    candidates: take the lowest one ``v``, keep only ``anti[v]`` (neither
+    ``v`` nor a neighbour of it) and repeat, so each class is an
+    independent set. Only pairs with colour ``>= kmin`` are listed.
+    """
+    ordered: list[tuple[int, int]] = []
+    uncolored = p_mask
+    color = 0
+    while uncolored:
+        color += 1
+        q = uncolored
+        while q:
+            low = q & -q
+            v = low.bit_length() - 1
+            uncolored ^= low
+            q &= anti[v]
+            if color >= kmin:
+                ordered.append((v, color))
+    return ordered

@@ -87,11 +87,16 @@ class Graph:
         return _unpack(self.rows, self.n)
 
     def induced_subgraph(self, vertices: Sequence[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Subgraph on ``vertices`` plus the local-to-original index map."""
+        """Subgraph on ``vertices`` plus the local-to-original index map.
+
+        Keeping every vertex returns this graph itself.
+        """
         keep = sorted(set(vertices))
         for v in keep:
             if not (0 <= v < self.n):
                 raise InputError(f"vertex {v} outside 0..{self.n - 1}")
+        if len(keep) == self.n:
+            return self, tuple(keep)
         kept_rows = _unpack([self.rows[v] for v in keep], self.n)
         return _pack(kept_rows[:, keep]), tuple(keep)
 

@@ -3,16 +3,16 @@
 These deliberately avoid the library's algorithms and data paths: core
 numbers by literal peeling, maximum cliques by exhaustive subset
 enumeration, the penalized matrix entry by entry, derivatives by
-central differences on the sphere. Two are earlier forms of library
+central differences on the sphere. Three are earlier forms of library
 code kept as references it must match exactly: the broadcast distance
-mismatch and the candidate-list greedy.
+mismatch, the candidate-list greedy and the first-fit exact search.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cliquereg import CoreNumbers, Graph
+from cliquereg import CoreNumbers, Graph, core_numbers, greedy_maximal_clique
 
 
 def naive_core_numbers(g: Graph) -> list[int]:
@@ -111,3 +111,67 @@ def sphere_directional_derivative(
         return float(x @ (matrix @ x))
 
     return (f_at(h) - f_at(-h)) / (2.0 * h)
+
+
+def first_fit_colour_order(rows: tuple[int, ...], p_mask: int) -> list[tuple[int, int]]:
+    """``(vertex, colour)`` pairs of first-fit colouring, stably sorted by colour.
+
+    Vertices of ``p_mask`` go in index order, each into the lowest class
+    holding none of its neighbours (a new class when every class does).
+    """
+    classes: list[int] = []
+    ordered: list[tuple[int, int]] = []
+    for v in range(p_mask.bit_length()):
+        if not (p_mask >> v) & 1:
+            continue
+        for ci, cmask in enumerate(classes):
+            if not (rows[v] & cmask):
+                classes[ci] |= 1 << v
+                ordered.append((v, ci + 1))
+                break
+        else:
+            classes.append(1 << v)
+            ordered.append((v, len(classes)))
+    ordered.sort(key=lambda vc: vc[1])
+    return ordered
+
+
+def reference_max_clique_exact(g: Graph) -> tuple[tuple[int, ...], int]:
+    """Sorted members of the exact search's maximum clique, and its node count.
+
+    The same branch and bound as ``max_clique_exact`` (peel order, greedy
+    lower bound, branching from the highest colour down), with every
+    candidate set coloured first-fit and no budget. ``nodes`` counts the
+    calls of ``expand``, the search-tree nodes the budget caps.
+    """
+    k = core_numbers(g)
+    best = list(greedy_maximal_clique(g, k).members)
+    rows = g.rows
+    peel = sorted(range(g.n), key=lambda v: (k.values[v], v))
+    stack: list[int] = []
+    nodes = 0
+
+    def expand(p_mask: int) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if p_mask == 0:
+            if len(stack) > len(best):
+                best = stack.copy()
+            return
+        current = p_mask
+        for v, color in reversed(first_fit_colour_order(rows, p_mask)):
+            if len(stack) + color <= len(best):
+                return
+            stack.append(v)
+            expand(current & rows[v])
+            stack.pop()
+            current &= ~(1 << v)
+
+    after = 0
+    for v in reversed(peel):
+        if k.values[v] + 1 > len(best):
+            stack.append(v)
+            expand(rows[v] & after)
+            stack.pop()
+        after |= 1 << v
+    return tuple(sorted(best)), nodes

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cliquereg import (
@@ -22,7 +22,11 @@ import importlib
 clipper_plus_module = importlib.import_module("cliquereg.clipper_plus")
 
 from .conftest import random_graph
-from .oracles import brute_force_max_clique
+from .oracles import (
+    brute_force_max_clique,
+    first_fit_colour_order,
+    reference_max_clique_exact,
+)
 
 # 14-vertex graph where the greedy pass returns a 7-clique but the maximum
 # clique has 8 vertices; the relaxation started from the greedy complement
@@ -58,7 +62,7 @@ class TestPruneByCore:
         k = core_numbers(triangle_plus_edge)
         pruned, index_map = prune_by_core(triangle_plus_edge, k, 0)
         assert index_map == (0, 1, 2, 3, 4)
-        assert pruned == triangle_plus_edge
+        assert pruned is triangle_plus_edge
 
     def test_core_vector_length_mismatch(self, triangle_plus_edge):
         from cliquereg.graph import CoreNumbers
@@ -145,7 +149,6 @@ class TestClipperPlus:
             check = validate_clique(g, report.clique.members)
             assert check.is_clique and check.is_maximal
 
-    @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=18), st.randoms())
     def test_result_is_always_a_maximal_clique(self, n, pyrandom):
         rng = np.random.default_rng(pyrandom.getrandbits(64))
@@ -170,6 +173,50 @@ class TestMaxCliqueExact:
             assert check.is_clique
             omega, _ = brute_force_max_clique(g)
             assert found.size == omega
+
+    def test_same_search_tree_as_first_fit_reference(self):
+        # Same clique, and the budget boundary sits exactly at the
+        # reference's node count, so both searches visit the same tree.
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            n = int(rng.integers(1, 61))
+            p = float(rng.uniform(0.1, 0.9))
+            g = random_graph(rng, n, p)
+            members, nodes = reference_max_clique_exact(g)
+            assert max_clique_exact(g, budget=max(nodes, 1)).members == members
+            if nodes > 1:
+                with pytest.raises(BudgetExceeded):
+                    max_clique_exact(g, budget=nodes - 1)
+
+    def test_colour_classes_are_first_fit_independent_sets(self, monkeypatch):
+        # Each candidate set the search colours, coloured in full with the
+        # search's own anti rows: every class is an independent set, the
+        # classes are first-fit's, and the search gets those from kmin up.
+        colour_classes = clipper_plus_module._colour_classes
+        seen = []
+
+        def spy(p_mask, anti, kmin):
+            seen.append((p_mask, anti, kmin))
+            return colour_classes(p_mask, anti, kmin)
+
+        monkeypatch.setattr(clipper_plus_module, "_colour_classes", spy)
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            g = random_graph(rng, int(rng.integers(30, 61)), float(rng.uniform(0.5, 0.9)))
+            seen.clear()
+            max_clique_exact(g)
+            assert seen
+            for p_mask, anti, kmin in seen:
+                full = colour_classes(p_mask, anti, 1)
+                classes: dict[int, int] = {}
+                for v, color in full:
+                    classes[color] = classes.get(color, 0) | 1 << v
+                for cmask in classes.values():
+                    assert not any(g.rows[v] & cmask for v in range(g.n) if (cmask >> v) & 1)
+                assert full == first_fit_colour_order(g.rows, p_mask)
+                assert colour_classes(p_mask, anti, kmin) == [
+                    (v, c) for v, c in full if c >= kmin
+                ]
 
     def test_edgeless_graph(self):
         g = Graph.from_edge_list(4, [])

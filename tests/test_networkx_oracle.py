@@ -2,6 +2,8 @@
 cliquereg, at sizes the exhaustive oracle in ``oracles.py`` cannot reach.
 Skipped when networkx is not installed; it is not a runtime dependency."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,16 +21,19 @@ def to_networkx(g: Graph):
     return G
 
 
-def seeded_graphs(count: int, max_n: int = 80):
-    rng = np.random.default_rng(2024)
+def seeded_graphs(count: int, n_range=(20, 80), p_range=(0.1, 0.7), seed: int = 2024):
+    rng = np.random.default_rng(seed)
     for _ in range(count):
-        n = int(rng.integers(20, max_n + 1))
-        p = float(rng.uniform(0.1, 0.7))
+        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        p = float(rng.uniform(*p_range))
         yield random_graph(rng, n, p)
 
 
 def test_exact_clique_size_matches_networkx():
-    for g in seeded_graphs(40):
+    # On the dense graphs the greedy clique is seldom maximum, so the
+    # search branches deep.
+    dense = seeded_graphs(20, n_range=(60, 100), p_range=(0.6, 0.85), seed=2025)
+    for g in itertools.chain(seeded_graphs(40), dense):
         omega = nx.max_weight_clique(to_networkx(g), weight=None)[1]
         assert max_clique_exact(g).size == omega
 
@@ -41,7 +46,7 @@ def test_core_numbers_match_networkx():
 
 def test_greedy_clique_is_maximal_per_networkx():
     # find_cliques lists exactly the maximal cliques.
-    for g in seeded_graphs(40, max_n=60):
+    for g in seeded_graphs(40, n_range=(20, 60)):
         members = greedy_maximal_clique(g, core_numbers(g)).members
         maximal = {tuple(sorted(c)) for c in nx.find_cliques(to_networkx(g))}
         assert members in maximal

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cliquereg import (
@@ -141,7 +141,6 @@ class TestConsistencyGraph:
         with pytest.raises(InputError, match="finite"):
             build_consistency_graph(a, a, [Association(0, 0)], epsilon)
 
-    @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_rigid_motion_preserves_all_consistencies(self, seed):
         # Rigid motions preserve pairwise distances exactly, so identity

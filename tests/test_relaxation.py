@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cliquereg import (
@@ -253,7 +253,6 @@ class TestSolveRelaxation:
 
 
 @given(st.data())
-@settings(max_examples=20)
 def test_relaxation_support_is_maximal_clique_property(data):
     n = data.draw(st.integers(min_value=1, max_value=25))
     p = data.draw(st.floats(min_value=0.05, max_value=0.95))
