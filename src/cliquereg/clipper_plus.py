@@ -150,6 +150,9 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
     classes already below that bound when colouring are not listed.
     ``budget`` caps the number of search-tree nodes; running out raises
     :class:`BudgetExceeded` so callers can fall back to the heuristics.
+    The search recurses once per member of the current clique, so a clique
+    deeper than Python's recursion limit (``sys.getrecursionlimit()``, 1000
+    by default) also raises :class:`BudgetExceeded`, naming the depth.
     """
     if g.n == 0:
         raise InputError("clique search needs at least one vertex")
@@ -193,12 +196,19 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
             current ^= 1 << v
 
     after = 0  # the vertices that follow v in the peel order
-    for v in reversed(peel):
-        if k.values[v] + 1 > best_size:
-            stack.append(v)
-            expand(rows[v] & after)
-            stack.pop()
-        after |= 1 << v
+    try:
+        for v in reversed(peel):
+            if k.values[v] + 1 > best_size:
+                stack.append(v)
+                expand(rows[v] & after)
+                stack.pop()
+            after |= 1 << v
+    except RecursionError:
+        # The search recurses once per clique member; the unwound stack
+        # still holds the members chosen when the limit was hit.
+        raise BudgetExceeded(
+            f"exact search reached Python's recursion limit at clique depth {len(stack)}"
+        ) from None
 
     return Clique.of(best)
 

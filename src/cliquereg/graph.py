@@ -22,8 +22,9 @@ class Graph:
     Adjacency is one bitmask per vertex: bit ``j`` of ``rows[i]`` is set iff
     ``i`` and ``j`` are adjacent. Bitmasks make pairwise adjacency tests and
     candidate-set intersections cheap for every solver in the package.
-    Conversion to and from boolean matrices goes through ``_pack`` and
-    ``_unpack`` only. Instances are immutable and safe to share.
+    Conversion to and from boolean matrices goes through ``_pack`` one way
+    and ``_row_bytes`` then ``_unpack`` the other. Instances are immutable
+    and safe to share.
     """
 
     n: int
@@ -79,12 +80,9 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def degrees(self) -> list[int]:
-        return [r.bit_count() for r in self.rows]
-
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency matrix (fresh copy)."""
-        return _unpack(self.rows, self.n)
+        return _unpack(_row_bytes(self.rows, self.n), self.n)
 
     def induced_subgraph(self, vertices: Sequence[int]) -> tuple["Graph", tuple[int, ...]]:
         """Subgraph on ``vertices`` plus the local-to-original index map.
@@ -97,7 +95,7 @@ class Graph:
                 raise InputError(f"vertex {v} outside 0..{self.n - 1}")
         if len(keep) == self.n:
             return self, tuple(keep)
-        kept_rows = _unpack([self.rows[v] for v in keep], self.n)
+        kept_rows = _unpack(_row_bytes([self.rows[v] for v in keep], self.n), self.n)
         return _pack(kept_rows[:, keep]), tuple(keep)
 
 
@@ -112,11 +110,16 @@ def _pack(mat: np.ndarray) -> Graph:
     return Graph(n=mat.shape[0], rows=rows, edge_count=int(np.count_nonzero(mat)) // 2)
 
 
-def _unpack(rows: Sequence[int], n: int) -> np.ndarray:
-    """Boolean ``(len(rows), n)`` matrix of little-endian bitset rows."""
+def _row_bytes(rows: Sequence[int], n: int) -> np.ndarray:
+    """``uint8`` array of shape ``(len(rows), ceil(n/8))``: the rows' bytes,
+    little-endian, the inverse of the packing in ``_pack``."""
     nbytes = (n + 7) // 8
     buf = b"".join(r.to_bytes(nbytes, "little") for r in rows)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+
+
+def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
+    """Boolean ``(len(packed), n)`` matrix of ``_row_bytes`` rows."""
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
@@ -161,50 +164,47 @@ class CliqueCheck:
     is_maximal: bool
 
 
-def core_numbers(g: Graph) -> CoreNumbers:
-    """Core numbers of every vertex by iterative min-degree peeling.
+# Unpacked bytes that core_numbers holds at once: rows of one byte per entry.
+_UNPACK_BYTES = 1 << 20
 
-    Bucket-queue implementation, O(|V| + |E|).
+
+def core_numbers(g: Graph) -> CoreNumbers:
+    """Core numbers of every vertex by level-synchronous min-degree peeling.
+
+    Each round removes every live vertex whose degree is at most ``k`` and
+    gives it core number ``k``, then subtracts the removed rows from the
+    degrees. When a round finds nothing to remove, ``k`` rises to the
+    smallest live degree. This gives the same core numbers as the
+    one-vertex-at-a-time (Batagelj-Zaversnik) peel, but whole degree levels
+    at a time (ParK, Dasari, Desh & Zubair 2014). Every round removes at
+    least one vertex, so there are at most n rounds; a path takes n/2.
+
+    The rows stay packed, ``n²/8`` bytes, and each is unpacked exactly once,
+    in the round that removes it, at most ``_UNPACK_BYTES`` at a time, so the
+    memory beyond the packed rows does not grow with n². Initial degrees are
+    the rows' bit counts. The work is O(n²) bit operations over all rounds,
+    the order of the graph's own representation.
     """
     n = g.n
-    if n == 0:
-        return CoreNumbers(values=())
-    degree = g.degrees()
-    max_deg = max(degree)
-    bins = [0] * (max_deg + 1)
-    for d in degree:
-        bins[d] += 1
-    start = 0
-    for d in range(max_deg + 1):
-        count = bins[d]
-        bins[d] = start
-        start += count
-    pos = [0] * n
-    vert = [0] * n
-    for v in range(n):
-        pos[v] = bins[degree[v]]
-        vert[pos[v]] = v
-        bins[degree[v]] += 1
-    for d in range(max_deg, 0, -1):
-        bins[d] = bins[d - 1]
-    bins[0] = 0
-
-    core = degree[:]
-    unpeeled = (1 << n) - 1
-    for i in range(n):
-        v = vert[i]
-        unpeeled ^= 1 << v
-        for u in _bits(g.rows[v] & unpeeled):
-            if core[u] > core[v]:
-                du, pu = core[u], pos[u]
-                pw = bins[du]
-                w = vert[pw]
-                if u != w:
-                    pos[u], vert[pu] = pw, w
-                    pos[w], vert[pw] = pu, u
-                bins[du] += 1
-                core[u] -= 1
-    return CoreNumbers(values=tuple(core))
+    packed = _row_bytes(g.rows, n)
+    degree = np.fromiter((r.bit_count() for r in g.rows), dtype=np.int32, count=n)
+    core = np.zeros(n, dtype=np.int32)
+    alive = np.ones(n, dtype=bool)
+    batch = max(1, _UNPACK_BYTES // max(n, 1))
+    k = 0
+    left = n
+    while left:
+        (peel,) = np.nonzero(alive & (degree <= k))
+        if not len(peel):
+            k = int(degree[alive].min())
+            continue
+        core[peel] = k
+        alive[peel] = False
+        left -= len(peel)
+        for s in range(0, len(peel), batch):
+            removed = _unpack(packed[peel[s : s + batch]], n)
+            degree -= removed.sum(axis=0, dtype=np.int32)
+    return CoreNumbers(values=tuple(core.tolist()))
 
 
 def sparsity(g: Graph) -> float:

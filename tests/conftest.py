@@ -4,7 +4,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from cliquereg import Graph
+from cliquereg import Graph, build_consistency_graph, synthetic_scene
 from cliquereg.relaxation import penalized_matrix
 
 hypothesis.settings.register_profile(
@@ -23,6 +23,20 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     adj = np.triu(upper, k=1)
     adj = adj | adj.T
     return Graph.from_adjacency(adj)
+
+
+def core_test_graphs():
+    """Labelled graphs for the core-number oracles: consistency graphs of
+    seeded scenes (300 and 1000 associations, outlier ratios 0.5 and 0.95)
+    and seeded G(n, p) up to n = 1000."""
+    for n_assoc in (300, 1000):
+        for ratio in (0.5, 0.95):
+            sc = synthetic_scene(n_assoc, 0.2, n_assoc, 1.0, n_assoc, ratio, seed=n_assoc)
+            g = build_consistency_graph(sc.cloud_a, sc.cloud_b, sc.associations, sc.epsilon)
+            yield f"scene {n_assoc} r{ratio}", g
+    rng = np.random.default_rng(6)
+    for n, p in ((200, 0.9), (500, 0.5), (1000, 0.3), (1000, 0.02)):
+        yield f"G({n},{p})", random_graph(rng, n, p)
 
 
 def solver_matrix(g: Graph, d: float) -> np.ndarray:

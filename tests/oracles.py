@@ -3,9 +3,10 @@
 These deliberately avoid the library's algorithms and data paths: core
 numbers by literal peeling, maximum cliques by exhaustive subset
 enumeration, the penalized matrix entry by entry, derivatives by
-central differences on the sphere. Three are earlier forms of library
-code kept as references it must match exactly: the broadcast distance
-mismatch, the candidate-list greedy and the first-fit exact search.
+central differences on the sphere. Four are earlier forms of library
+code kept as references it must match exactly: the bucket-queue core
+numbers, the broadcast distance mismatch, the candidate-list greedy and
+the first-fit exact search.
 """
 
 from __future__ import annotations
@@ -34,6 +35,54 @@ def naive_core_numbers(g: Graph) -> list[int]:
     return core
 
 
+def bucket_queue_core_numbers(g: Graph) -> CoreNumbers:
+    """Core numbers by one-vertex-at-a-time min-degree peeling.
+
+    Bucket-queue implementation (Batagelj-Zaversnik), O(|V| + |E|).
+    """
+    n = g.n
+    if n == 0:
+        return CoreNumbers(values=())
+    degree = [g.degree(v) for v in range(n)]
+    max_deg = max(degree)
+    bins = [0] * (max_deg + 1)
+    for d in degree:
+        bins[d] += 1
+    start = 0
+    for d in range(max_deg + 1):
+        count = bins[d]
+        bins[d] = start
+        start += count
+    pos = [0] * n
+    vert = [0] * n
+    for v in range(n):
+        pos[v] = bins[degree[v]]
+        vert[pos[v]] = v
+        bins[degree[v]] += 1
+    for d in range(max_deg, 0, -1):
+        bins[d] = bins[d - 1]
+    bins[0] = 0
+
+    core = degree[:]
+    unpeeled = (1 << n) - 1
+    for i in range(n):
+        v = vert[i]
+        unpeeled ^= 1 << v
+        for u in g.neighbors(v):
+            if not (unpeeled >> u) & 1:
+                continue
+            if core[u] > core[v]:
+                du, pu = core[u], pos[u]
+                pw = bins[du]
+                w = vert[pw]
+                if u != w:
+                    pos[u], vert[pu] = pw, w
+                    pos[w], vert[pw] = pu, u
+                bins[du] += 1
+                core[u] -= 1
+    return CoreNumbers(values=tuple(core))
+
+
 def brute_force_max_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Maximum clique size and one witness by enumerating all 2^n subsets.
 
@@ -52,7 +101,8 @@ def brute_force_max_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
         ok = is_clique[rest] & ((rest & ~g.rows[v]) == 0)
         is_clique[rest | (1 << v)] = ok
     masks = np.flatnonzero(is_clique).astype(np.uint64)
-    sizes = np.bitwise_count(masks)
+    # Popcount of each mask from its eight bytes (np.bitwise_count needs numpy 2).
+    sizes = np.unpackbits(masks.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
     best_mask = int(masks[np.argmax(sizes)])
     members = tuple(v for v in range(n) if (best_mask >> v) & 1)
     return len(members), members

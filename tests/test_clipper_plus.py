@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -227,6 +229,30 @@ class TestMaxCliqueExact:
         g = random_graph(rng, 40, 0.6)
         with pytest.raises(BudgetExceeded):
             max_clique_exact(g, budget=3)
+
+    def test_recursion_limit_is_budget_exceeded(self):
+        # Greedy finds 16 of omega = 19, so the search must recurse to depth
+        # 19; a limit 12 levels above the caller's depth stops it first.
+        g = random_graph(np.random.default_rng(8), 80, 0.8)
+        assert greedy_maximal_clique(g, core_numbers(g)).size < 19
+
+        def headroom(levels=0):
+            try:
+                return headroom(levels + 1)
+            except RecursionError:
+                return levels
+
+        limit = sys.getrecursionlimit()
+        message = None
+        sys.setrecursionlimit(limit - headroom() + 12)
+        try:
+            max_clique_exact(g)
+        except BudgetExceeded as exc:
+            message = str(exc)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert message is not None and "recursion limit at clique depth" in message
+        assert max_clique_exact(g).size == 19
 
     def test_bad_inputs(self):
         with pytest.raises(InputError):

@@ -12,8 +12,13 @@ from cliquereg import (
     validate_clique,
 )
 
-from .conftest import random_graph
-from .oracles import naive_core_numbers
+from .conftest import core_test_graphs, random_graph
+from .oracles import bucket_queue_core_numbers, naive_core_numbers
+
+
+def path_edges(first: int, last: int) -> list[tuple[int, int]]:
+    """1-based edges of the path first, first + 1, ..., last."""
+    return [(v, v + 1) for v in range(first, last)]
 
 
 class TestConstruction:
@@ -70,8 +75,7 @@ class TestConstruction:
     def test_neighbors_and_degrees(self, triangle_plus_edge):
         g = triangle_plus_edge
         assert g.neighbors(1) == [2, 4]
-        assert g.degree(0) == 1
-        assert g.degrees() == [1, 2, 2, 1, 2]
+        assert [g.degree(v) for v in range(g.n)] == [1, 2, 2, 1, 2]
 
     def test_induced_subgraph_keeps_internal_edges(self, triangle_plus_edge):
         sub, index_map = triangle_plus_edge.induced_subgraph([1, 2, 4])
@@ -108,6 +112,38 @@ class TestCoreNumbers:
     def test_edgeless_graph(self):
         g = Graph.from_edge_list(4, [])
         assert core_numbers(g).values == (0, 0, 0, 0)
+
+    def test_matches_bucket_queue_on_scenes_and_gnp(self):
+        for label, g in core_test_graphs():
+            assert core_numbers(g) == bucket_queue_core_numbers(g), label
+
+    # Shapes that peel only a few vertices per round, the worst case of the
+    # level-synchronous peel (a path takes n/2 rounds), and the degenerate
+    # sizes, each against its closed form.
+    @pytest.mark.parametrize(
+        "n, edges, expected",
+        [
+            (0, [], []),
+            (1, [], [0]),
+            (7, [], [0] * 7),
+            (2000, path_edges(1, 2000), [1] * 2000),
+            (2000, [(1, v) for v in range(2, 2001)], [1] * 2000),
+            # Spine 1..1000, one leg 1000 + v on each spine vertex v.
+            (2000, path_edges(1, 1000) + [(v, 1000 + v) for v in range(1, 1001)], [1] * 2000),
+            (9, [(i, j) for i in range(1, 10) for j in range(i + 1, 10)], [8] * 9),
+            # K_6 on 1..6 beside the path 7..1506.
+            (
+                1506,
+                [(i, j) for i in range(1, 7) for j in range(i + 1, 7)] + path_edges(7, 1506),
+                [5] * 6 + [1] * 1500,
+            ),
+        ],
+        ids=["empty", "single", "edgeless", "path", "star", "caterpillar", "complete", "k6+path"],
+    )
+    def test_adversarial_shapes(self, n, edges, expected):
+        g = Graph.from_edge_list(n, edges)
+        assert list(core_numbers(g).values) == expected
+        assert core_numbers(g) == bucket_queue_core_numbers(g)
 
     def test_matches_naive_peeling_on_200_random_graphs(self):
         rng = np.random.default_rng(42)
@@ -194,6 +230,5 @@ def test_core_numbers_invariants(data):
     seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
     g = random_graph(np.random.default_rng(seed), n, p)
     k = core_numbers(g)
-    degrees = g.degrees()
-    assert all(0 <= k.values[v] <= degrees[v] for v in range(n))
+    assert all(0 <= k.values[v] <= g.degree(v) for v in range(n))
     assert list(k.values) == naive_core_numbers(g)

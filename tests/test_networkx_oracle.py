@@ -9,7 +9,7 @@ import pytest
 
 from cliquereg import Graph, core_numbers, greedy_maximal_clique, max_clique_exact
 
-from .conftest import random_graph
+from .conftest import core_test_graphs, random_graph
 
 nx = pytest.importorskip("networkx")
 
@@ -39,9 +39,10 @@ def test_exact_clique_size_matches_networkx():
 
 
 def test_core_numbers_match_networkx():
-    for g in seeded_graphs(40):
+    labelled = itertools.chain(core_test_graphs(), (("seeded", g) for g in seeded_graphs(40)))
+    for label, g in labelled:
         expected = nx.core_number(to_networkx(g))
-        assert core_numbers(g).values == tuple(expected[v] for v in range(g.n))
+        assert core_numbers(g).values == tuple(expected[v] for v in range(g.n)), label
 
 
 def test_greedy_clique_is_maximal_per_networkx():
