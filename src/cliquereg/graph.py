@@ -22,9 +22,9 @@ class Graph:
     Adjacency is one bitmask per vertex: bit ``j`` of ``rows[i]`` is set iff
     ``i`` and ``j`` are adjacent. Bitmasks make pairwise adjacency tests and
     candidate-set intersections cheap for every solver in the package.
-    Conversion to and from boolean matrices goes through ``_pack`` one way
-    and ``_row_bytes`` then ``_unpack`` the other. Instances are immutable
-    and safe to share.
+    Boolean matrices become rows through ``np.packbits`` (little-endian bit
+    order) then ``_from_packed``, and come back through ``_row_bytes`` then
+    ``_unpack``. Instances are immutable and safe to share.
     """
 
     n: int
@@ -69,7 +69,7 @@ class Graph:
             raise InputError("adjacency matrix has a true diagonal entry")
         if not np.array_equal(mat, mat.T):
             raise InputError("adjacency matrix is not symmetric")
-        return _pack(mat)
+        return _from_packed(np.packbits(mat, axis=1, bitorder="little"), mat.shape[0])
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
@@ -96,26 +96,40 @@ class Graph:
         if len(keep) == self.n:
             return self, tuple(keep)
         kept_rows = _unpack(_row_bytes([self.rows[v] for v in keep], self.n), self.n)
-        return _pack(kept_rows[:, keep]), tuple(keep)
+        packed = np.packbits(kept_rows[:, keep], axis=1, bitorder="little")
+        return _from_packed(packed, len(keep)), tuple(keep)
 
 
-def _pack(mat: np.ndarray) -> Graph:
-    """Graph of a square, symmetric, loop-free boolean matrix (unchecked).
+# Bytes that _row_bytes and core_numbers hold at once beyond the packed rows:
+# the rows' bytes objects, or unpacked rows of one byte per entry.
+_UNPACK_BYTES = 1 << 20
 
-    Row ``i`` becomes the little-endian bitset of ``mat[i]``: bit ``j`` is
-    entry ``j``.
-    """
-    packed = np.packbits(mat, axis=1, bitorder="little")
+
+def _from_packed(packed: np.ndarray, n: int) -> Graph:
+    """Graph of ``(n, ceil(n/8))`` ``uint8`` rows packed little-endian from a
+    symmetric, loop-free boolean matrix (unchecked): bit ``j`` of row ``i``
+    is entry ``(i, j)``."""
     rows = tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
-    return Graph(n=mat.shape[0], rows=rows, edge_count=int(np.count_nonzero(mat)) // 2)
+    return Graph(n=n, rows=rows, edge_count=sum(r.bit_count() for r in rows) // 2)
 
 
 def _row_bytes(rows: Sequence[int], n: int) -> np.ndarray:
     """``uint8`` array of shape ``(len(rows), ceil(n/8))``: the rows' bytes,
-    little-endian, the inverse of the packing in ``_pack``."""
+    little-endian, the inverse of ``_from_packed``.
+
+    The bytes objects are joined at most ``_UNPACK_BYTES`` at a time, so the
+    memory beyond the result does not grow with the row count.
+    """
     nbytes = (n + 7) // 8
-    buf = b"".join(r.to_bytes(nbytes, "little") for r in rows)
-    return np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+    out = np.empty((len(rows), nbytes), dtype=np.uint8)
+    chunk = max(1, _UNPACK_BYTES // max(nbytes, 1))
+    for s in range(0, len(rows), chunk):
+        part = rows[s : s + chunk]
+        buf = b"".join(r.to_bytes(nbytes, "little") for r in part)
+        out[s : s + len(part)] = np.frombuffer(buf, dtype=np.uint8).reshape(
+            len(part), nbytes
+        )
+    return out
 
 
 def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
@@ -162,10 +176,6 @@ class Clique:
 class CliqueCheck:
     is_clique: bool
     is_maximal: bool
-
-
-# Unpacked bytes that core_numbers holds at once: rows of one byte per entry.
-_UNPACK_BYTES = 1 << 20
 
 
 def core_numbers(g: Graph) -> CoreNumbers:

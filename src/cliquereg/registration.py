@@ -21,7 +21,7 @@ from scipy.spatial.distance import cdist
 
 from .clipper_plus import ClipperPlusReport, clipper_plus
 from .errors import InputError, RegistrationError
-from .graph import Graph
+from .graph import Graph, _from_packed
 from .relaxation import SolverParams
 
 SCENARIO_FORMAT = "cliquereg-scenario-v1"
@@ -122,19 +122,34 @@ class Scenario:
     epsilon_inflation: float = 1.0
 
 
-def _distance_mismatch(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """``| ||pa_i - pa_k|| - ||pb_i - pb_k|| |`` for every pair of rows i, k.
+def _distance_mismatch(
+    pa: np.ndarray, pb: np.ndarray, qa: np.ndarray, qb: np.ndarray
+) -> np.ndarray:
+    """``| ||pa_i - qa_k|| - ||pb_i - qb_k|| |`` for every row i of the
+    associations ``(pa, pb)`` against every row k of ``(qa, qb)``.
 
-    The consistency graph and the scene generator's threshold inflation
-    both call this, so the planted inliers are a clique under exactly the
-    numbers the graph build compares. ``cdist`` sums the squared
-    coordinate differences in axis order, as ``np.linalg.norm`` over an
-    ``(n, n, 3)`` difference array does, so the bytes equal that form
-    without allocating it.
+    The consistency graph, one row block at a time, and the scene
+    generator's threshold inflation both call this, so the planted inliers
+    are a clique under exactly the numbers the graph build compares.
+    ``cdist`` computes each entry from its own pair of points alone,
+    summing the squared coordinate differences in axis order as
+    ``np.linalg.norm`` over an ``(n, n, 3)`` difference array does, so any
+    block's bytes equal that form's slice without allocating it. The
+    squares of ``a - b`` and ``b - a`` are equal, so swapping the two sets
+    gives the transpose bit for bit.
     """
-    mismatch = cdist(pa, pa)
-    mismatch -= cdist(pb, pb)
+    mismatch = cdist(pa, qa)
+    mismatch -= cdist(pb, qb)
     return np.abs(mismatch, out=mismatch)
+
+
+# Associations per row block of the graph build. A multiple of 8, so every
+# block starts on a byte of the packed rows.
+_BUILD_BLOCK = 128
+
+# The largest packed graph the build allocates, n * ceil(n/8) bytes: 1 GiB,
+# which admits up to 92,680 associations.
+_MAX_PACKED_BYTES = 1 << 30
 
 
 def build_consistency_graph(
@@ -150,27 +165,55 @@ def build_consistency_graph(
     no endpoint in either cloud. Endpoint reuse is excluded because two
     associations claiming the same point cannot both be correct.
 
-    Memory is O(n^2) for n associations: the distance mismatch peaks at two
-    ``(n, n)`` float64 matrices (16 bytes per pair: 16 MB at 1k
-    associations, 6.4 GB at 20k), and the masks after it are ``(n, n)``
-    booleans, 1 byte per pair each (1 MB at 1k, 400 MB at 20k), at most
-    two alive at once.
+    The build walks row blocks ``[s, e)`` of ``_BUILD_BLOCK`` (B)
+    associations and computes each block against columns ``s..n`` only, the
+    upper triangle. It packs the block's bits into rows ``s..e`` and the
+    transpose of its part right of the block into rows ``e..n``, so the
+    graph is symmetric by construction. Memory is O(B·n) beyond the
+    ``n * ceil(n/8)`` bytes of packed rows (and the rows as Python ints,
+    the same size again): a block's mismatch peaks at two ``B x n`` float64
+    matrices, 2 MB at 1k associations and 41 MB at 20k, where the packed
+    rows take 125 kB and 50 MB. A count whose packed rows would pass
+    ``_MAX_PACKED_BYTES`` raises ``InputError`` before anything of size n²
+    is allocated.
     """
     if not (0.0 < epsilon < math.inf):
         raise InputError(f"epsilon must be positive and finite, got {epsilon}")
-    if len(associations) == 0:
+    n = len(associations)
+    if n == 0:
         raise InputError("need at least one association")
+    nbytes = (n + 7) // 8
+    if n * nbytes > _MAX_PACKED_BYTES:
+        raise InputError(
+            f"{n} associations need {n * nbytes} bytes of packed graph rows, "
+            f"over the cap of {_MAX_PACKED_BYTES}"
+        )
     ai = np.array([a.a_index for a in associations], dtype=int)
     bi = np.array([a.b_index for a in associations], dtype=int)
     if ai.min() < 0 or ai.max() >= len(cloud_a):
         raise InputError("association references a point outside cloud A")
     if bi.min() < 0 or bi.max() >= len(cloud_b):
         raise InputError("association references a point outside cloud B")
-    adj = _distance_mismatch(cloud_a.points[ai], cloud_b.points[bi]) < epsilon
-    # Distinct endpoints also clear the diagonal.
-    adj &= ai[:, None] != ai[None, :]
-    adj &= bi[:, None] != bi[None, :]
-    return Graph.from_adjacency(adj)
+    pa = cloud_a.points[ai]
+    pb = cloud_b.points[bi]
+    # The endpoint masks only test equality, so endpoints are replaced by
+    # their ranks, which fit int32 under the cap: half the bytes to compare.
+    ai = np.unique(ai, return_inverse=True)[1].astype(np.int32)
+    bi = np.unique(bi, return_inverse=True)[1].astype(np.int32)
+    packed = np.zeros((n, nbytes), dtype=np.uint8)
+    for s in range(0, n, _BUILD_BLOCK):
+        e = min(s + _BUILD_BLOCK, n)
+        blk = _distance_mismatch(pa[s:e], pb[s:e], pa[s:], pb[s:]) < epsilon
+        # Distinct endpoints also clear the diagonal.
+        blk &= ai[s:e, None] != ai[None, s:]
+        blk &= bi[s:e, None] != bi[None, s:]
+        packed[s:e, s // 8 :] = np.packbits(blk, axis=1, bitorder="little")
+        if e < n:
+            # packbits is several times faster on a contiguous copy of the
+            # transpose than on the transposed view.
+            mirror = np.ascontiguousarray(blk[:, e - s :].T)
+            packed[e:, s // 8 : e // 8] = np.packbits(mirror, axis=1, bitorder="little")
+    return _from_packed(packed, n)
 
 
 def estimate_rigid_transform(
@@ -353,7 +396,8 @@ def synthetic_scene(
     inflation = 1.0
     if n_inliers >= 2:
         ia = np.array([a.a_index for a, m in zip(associations, mask) if m])
-        worst = float(_distance_mismatch(points_a[ia], points_b[ia]).max())
+        pa, pb = points_a[ia], points_b[ia]
+        worst = float(_distance_mismatch(pa, pb, pa, pb).max())
         if worst >= eps:
             needed = math.nextafter(worst, math.inf)
             inflation = needed / eps

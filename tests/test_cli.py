@@ -216,6 +216,18 @@ class TestRegisterAndGenScene:
         assert code == 3
         assert "registration failure" in capsys.readouterr().err
 
+    def test_register_over_packed_graph_cap_is_input_error(self, tmp_path, capsys):
+        # 92,681 associations would need just over 1 GiB of packed rows.
+        a = tmp_path / "a.xyz"
+        a.write_text("0 0 0\n")
+        assoc = tmp_path / "assoc.txt"
+        assoc.write_text("0 0\n" * 92681)
+        assert main(
+            ["register", "--cloud-a", str(a), "--cloud-b", str(a),
+             "--associations", str(assoc), "--epsilon", "0.5"]
+        ) == 1
+        assert "cap" in capsys.readouterr().err
+
     def test_malformed_cloud_line(self, tmp_path, capsys):
         a = tmp_path / "a.xyz"
         a.write_text("0 0\n")

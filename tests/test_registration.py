@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from cliquereg import (
     Association,
+    Graph,
     InputError,
     PointCloud,
     RegistrationError,
@@ -22,7 +24,11 @@ from cliquereg import (
     save_scenario,
     synthetic_scene,
 )
-from cliquereg.registration import _distance_mismatch
+from cliquereg.registration import (
+    _BUILD_BLOCK,
+    _MAX_PACKED_BYTES,
+    _distance_mismatch,
+)
 
 from .oracles import broadcast_distance_mismatch
 
@@ -103,25 +109,80 @@ class TestConsistencyGraph:
         assert build_consistency_graph(a, b, assoc, 0.5).edge_count == 0
         assert build_consistency_graph(a, b, assoc, 0.5 + 1e-9).edge_count == 1
 
+    @staticmethod
+    def assert_matches_broadcast_at_ties(cloud_a, cloud_b, assoc):
+        """Built rows equal the broadcast reference's thresholded matrix, at
+        epsilons equal to mismatch values that occur, so the strict
+        comparison decides the tied pairs."""
+        ai = np.array([a.a_index for a in assoc])
+        bi = np.array([a.b_index for a in assoc])
+        mismatch = broadcast_distance_mismatch(cloud_a.points[ai], cloud_b.points[bi])
+        distinct = (ai[:, None] != ai[None, :]) & (bi[:, None] != bi[None, :])
+        off = mismatch[distinct]
+        epsilons = np.quantile(off, [0.1, 0.5], method="lower") if off.size else [1.0]
+        for epsilon in epsilons:
+            g = build_consistency_graph(cloud_a, cloud_b, assoc, epsilon)
+            want = (mismatch < epsilon) & distinct
+            assert g.adjacency_matrix().tobytes() == want.tobytes()
+            assert g.edge_count == np.count_nonzero(want) // 2
+            # from_adjacency re-checks the symmetry and the empty diagonal
+            # that the blocked build only has by construction.
+            assert Graph.from_adjacency(g.adjacency_matrix()) == g
+
     def test_graph_matches_broadcast_reference_at_exact_ties(self):
-        # Epsilon is set to mismatch values that occur in the matrix, and
-        # associations reuse endpoints, so both the strict comparison and
-        # the endpoint rule decide edges here.
+        # Associations reuse endpoints, so the endpoint rule decides edges
+        # too; the reused ones sit in the first row block, their reusers in
+        # the second.
         scene = synthetic_scene(80, 0.2, 80, 1.0, 150, 0.6, seed=3)
         assoc = list(scene.associations) + [
             Association(a.a_index, (a.b_index + 1) % len(scene.cloud_b))
             for a in scene.associations[:20]
         ]
-        ai = np.array([a.a_index for a in assoc])
-        bi = np.array([a.b_index for a in assoc])
-        mismatch = broadcast_distance_mismatch(
-            scene.cloud_a.points[ai], scene.cloud_b.points[bi]
-        )
-        distinct = (ai[:, None] != ai[None, :]) & (bi[:, None] != bi[None, :])
-        for epsilon in np.quantile(mismatch[distinct], [0.1, 0.5], method="lower"):
-            g = build_consistency_graph(scene.cloud_a, scene.cloud_b, assoc, epsilon)
-            want = (mismatch < epsilon) & distinct
-            assert np.array_equal(g.adjacency_matrix(), want)
+        self.assert_matches_broadcast_at_ties(scene.cloud_a, scene.cloud_b, assoc)
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, 7, _BUILD_BLOCK - 1, _BUILD_BLOCK, _BUILD_BLOCK + 1, 2 * _BUILD_BLOCK + 3],
+    )
+    def test_graph_matches_broadcast_reference_at_block_boundaries(self, n):
+        # One block, exactly one, one plus a single row, and a short last
+        # block. The last quarter of the associations reuses an endpoint of
+        # the first quarter, in either cloud, across blocks once n > B.
+        base = n - n // 4
+        scene = synthetic_scene(80, 0.2, 80, 1.0, base, 0.6, seed=n)
+        na, nb = len(scene.cloud_a), len(scene.cloud_b)
+        assoc = list(scene.associations) + [
+            Association(a.a_index, (a.b_index + 1) % nb)
+            if k % 2
+            else Association((a.a_index + 1) % na, a.b_index)
+            for k, a in enumerate(scene.associations[: n - base])
+        ]
+        assert len(assoc) == n
+        self.assert_matches_broadcast_at_ties(scene.cloud_a, scene.cloud_b, assoc)
+
+    def test_build_memory_is_linear_in_block_rows(self):
+        # A dense build at 3000 associations peaks near 140 MB (two n x n
+        # float64 matrices); the blocked one holds B x n floats plus the
+        # packed rows.
+        scene = synthetic_scene(3000, 0.2, 3000, 1.0, 3000, 0.95, seed=1)
+        tracemalloc.start()
+        try:
+            build_consistency_graph(
+                scene.cloud_a, scene.cloud_b, scene.associations, scene.epsilon
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+    def test_association_count_over_packed_cap_rejected(self):
+        # 92,681 associations need n * ceil(n/8) bytes of packed rows, just
+        # over the 1 GiB cap; they are refused before any n x n allocation.
+        n = 92681
+        assert n * ((n + 7) // 8) > _MAX_PACKED_BYTES
+        a = PointCloud(np.zeros((1, 3)))
+        with pytest.raises(InputError, match="cap"):
+            build_consistency_graph(a, a, [Association(0, 0)] * n, 1.0)
 
     def test_input_validation(self):
         a = PointCloud(np.zeros((2, 3)))
@@ -162,10 +223,21 @@ class TestDistanceMismatch:
 
     @staticmethod
     def assert_same_bytes(pa, pb):
-        got = _distance_mismatch(pa, pb)
         want = broadcast_distance_mismatch(pa, pb)
+        got = _distance_mismatch(pa, pb, pa, pb)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        # The graph build's form: rows s:e against columns s:, and the sets
+        # swapped for the mirrored part. The step is below the build's block
+        # so every input has several blocks and a short last one.
+        n = len(pa)
+        for s in range(0, n, 48):
+            e = min(s + 48, n)
+            block = _distance_mismatch(pa[s:e], pb[s:e], pa[s:], pb[s:])
+            assert block.tobytes() == want[s:e, s:].tobytes()
+            mirror = _distance_mismatch(pa[s:], pb[s:], pa[s:e], pb[s:e])
+            assert mirror.tobytes() == want[s:, s:e].tobytes()
+            assert mirror.tobytes() == block.T.tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("ratio", [0.5, 0.95])
