@@ -157,6 +157,19 @@ def _cmd_bench_dimacs(args) -> int:
     )
     write_records(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
+    print(f"{'graph':<18s} {'algo':<8s} {'size':>5s} {'omega':>5s} {'r':>6s} {'ms':>9s}")
+    for rec in records:
+        omega = "-" if rec.omega_gt is None else str(rec.omega_gt)
+        ratio = "-" if rec.r is None else f"{rec.r:.3f}"
+        print(
+            f"{rec.graph_id:<18s} {rec.algo:<8s} {rec.clique_size:>5d} "
+            f"{omega:>5s} {ratio:>6s} {rec.runtime_ms:>9.2f}"
+        )
+    if all(rec.omega_gt is None for rec in records):
+        print(
+            "note: no instance matched the published-size table or "
+            "--omega-gt; ratio cells are empty"
+        )
     return 0
 
 

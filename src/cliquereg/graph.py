@@ -7,7 +7,7 @@ by the constructors and parsers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -19,28 +19,35 @@ from .errors import InputError
 class Graph:
     """Undirected, unweighted, simple graph over vertices ``0..n-1``.
 
-    Adjacency is one bitmask per vertex: bit ``j`` of ``rows[i]`` is set iff
-    ``i`` and ``j`` are adjacent. Bitmasks make pairwise adjacency tests and
-    candidate-set intersections cheap for every solver in the package.
-    Boolean matrices become rows through ``np.packbits`` (little-endian bit
-    order) then ``_from_packed``, and come back through ``_row_bytes`` then
-    ``_unpack``. Instances are immutable and safe to share.
+    Adjacency is held twice, with the same bits, for the graph's lifetime:
+    ``packed`` is the ``(n, ceil(n/8))`` ``uint8`` array of rows packed
+    little-endian, read-only, and ``rows`` is one Python int per row. Bit
+    ``j`` of ``rows[i]`` (bit ``j % 8`` of ``packed[i, j // 8]``) is set iff
+    ``i`` and ``j`` are adjacent. The bitmasks make pairwise adjacency tests
+    and candidate-set intersections cheap for every solver in the package;
+    the packed rows serve the numpy paths (core numbers, unpacking to a
+    boolean matrix, induced subgraphs) without a conversion. Every
+    constructor ends in ``_from_packed``. Equality and hashing use ``n``,
+    ``rows`` and ``edge_count``. Instances are immutable and safe to share.
     """
 
     n: int
     rows: tuple[int, ...]
     edge_count: int
+    packed: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from 1-based undirected edges.
 
         Duplicate edges (in either orientation) collapse to one. Endpoints
-        outside ``1..n`` and self-loops are rejected.
+        outside ``1..n`` and self-loops are rejected, and so is an ``n``
+        whose packed rows would pass ``_MAX_PACKED_BYTES``.
         """
         if n < 0:
             raise InputError(f"vertex count must be non-negative, got {n}")
-        rows = [0] * n
+        _check_packed_size(n)
+        flat = []
         for edge in edges:
             try:
                 i, j = edge
@@ -50,11 +57,18 @@ class Graph:
                 raise InputError(f"edge ({i}, {j}) has an endpoint outside 1..{n}")
             if i == j:
                 raise InputError(f"self-loop at vertex {i}")
-            a, b = i - 1, j - 1
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-        count = sum(r.bit_count() for r in rows) // 2
-        return cls(n=n, rows=tuple(rows), edge_count=count)
+            flat += (i, j)
+        ends = np.asarray(flat)
+        # A fractional endpoint would be truncated by the integer scatter.
+        if flat and ends.dtype.kind not in "iu":
+            raise InputError("edge endpoints must be integers")
+        ends = ends.astype(np.int64).reshape(-1, 2) - 1
+        # Both orientations of every edge, scattered into the packed rows.
+        src, dst = np.concatenate([ends, ends[:, ::-1]]).T
+        packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+        bit = np.left_shift(np.uint8(1), (dst & 7).astype(np.uint8))
+        np.bitwise_or.at(packed, (src, dst >> 3), bit)
+        return _from_packed(packed, n)
 
     @classmethod
     def from_adjacency(cls, matrix: np.ndarray) -> "Graph":
@@ -82,7 +96,7 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency matrix (fresh copy)."""
-        return _unpack(_row_bytes(self.rows, self.n), self.n)
+        return _unpack(self.packed, self.n)
 
     def induced_subgraph(self, vertices: Sequence[int]) -> tuple["Graph", tuple[int, ...]]:
         """Subgraph on ``vertices`` plus the local-to-original index map.
@@ -95,45 +109,47 @@ class Graph:
                 raise InputError(f"vertex {v} outside 0..{self.n - 1}")
         if len(keep) == self.n:
             return self, tuple(keep)
-        kept_rows = _unpack(_row_bytes([self.rows[v] for v in keep], self.n), self.n)
+        kept_rows = _unpack(self.packed[keep], self.n)
         packed = np.packbits(kept_rows[:, keep], axis=1, bitorder="little")
-        return _from_packed(packed, len(keep)), tuple(keep)
+        # The subgraph keeps a copy, not packbits' own output, which is
+        # allocated among this call's temporaries; kept as is, it raised the
+        # peak RSS of the perfbench register workload by up to 2 MB.
+        return _from_packed(packed.copy(), len(keep)), tuple(keep)
 
 
-# Bytes that _row_bytes and core_numbers hold at once beyond the packed rows:
-# the rows' bytes objects, or unpacked rows of one byte per entry.
+# The largest packed graph a constructor allocates, n * ceil(n/8) bytes:
+# 1 GiB, which admits up to 92,680 vertices.
+_MAX_PACKED_BYTES = 1 << 30
+
+# Bytes of unpacked rows that core_numbers holds at once.
 _UNPACK_BYTES = 1 << 20
+
+
+def _check_packed_size(n: int) -> None:
+    """Raise ``InputError`` if the packed rows of an n-vertex graph would
+    pass ``_MAX_PACKED_BYTES``; called before they are allocated."""
+    size = n * ((n + 7) // 8)
+    if size > _MAX_PACKED_BYTES:
+        raise InputError(
+            f"{n} vertices need {size} bytes of packed graph rows, "
+            f"over the cap of {_MAX_PACKED_BYTES}"
+        )
 
 
 def _from_packed(packed: np.ndarray, n: int) -> Graph:
     """Graph of ``(n, ceil(n/8))`` ``uint8`` rows packed little-endian from a
     symmetric, loop-free boolean matrix (unchecked): bit ``j`` of row ``i``
-    is entry ``(i, j)``."""
+    is entry ``(i, j)``. The graph keeps ``packed`` itself and makes it
+    read-only; callers pass an array they do not write to again."""
+    packed.setflags(write=False)
     rows = tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
-    return Graph(n=n, rows=rows, edge_count=sum(r.bit_count() for r in rows) // 2)
-
-
-def _row_bytes(rows: Sequence[int], n: int) -> np.ndarray:
-    """``uint8`` array of shape ``(len(rows), ceil(n/8))``: the rows' bytes,
-    little-endian, the inverse of ``_from_packed``.
-
-    The bytes objects are joined at most ``_UNPACK_BYTES`` at a time, so the
-    memory beyond the result does not grow with the row count.
-    """
-    nbytes = (n + 7) // 8
-    out = np.empty((len(rows), nbytes), dtype=np.uint8)
-    chunk = max(1, _UNPACK_BYTES // max(nbytes, 1))
-    for s in range(0, len(rows), chunk):
-        part = rows[s : s + chunk]
-        buf = b"".join(r.to_bytes(nbytes, "little") for r in part)
-        out[s : s + len(part)] = np.frombuffer(buf, dtype=np.uint8).reshape(
-            len(part), nbytes
-        )
-    return out
+    return Graph(
+        n=n, rows=rows, edge_count=sum(r.bit_count() for r in rows) // 2, packed=packed
+    )
 
 
 def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
-    """Boolean ``(len(packed), n)`` matrix of ``_row_bytes`` rows."""
+    """Boolean ``(len(packed), n)`` matrix of packed rows."""
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
@@ -189,14 +205,13 @@ def core_numbers(g: Graph) -> CoreNumbers:
     at a time (ParK, Dasari, Desh & Zubair 2014). Every round removes at
     least one vertex, so there are at most n rounds; a path takes n/2.
 
-    The rows stay packed, ``n²/8`` bytes, and each is unpacked exactly once,
-    in the round that removes it, at most ``_UNPACK_BYTES`` at a time, so the
-    memory beyond the packed rows does not grow with n². Initial degrees are
-    the rows' bit counts. The work is O(n²) bit operations over all rounds,
-    the order of the graph's own representation.
+    The peel reads the graph's own packed rows, ``n²/8`` bytes, and unpacks
+    each exactly once, in the round that removes it, at most
+    ``_UNPACK_BYTES`` at a time, so the memory it allocates does not grow
+    with n². Initial degrees are the rows' bit counts. The work is O(n²) bit
+    operations over all rounds, the order of the graph's own representation.
     """
     n = g.n
-    packed = _row_bytes(g.rows, n)
     degree = np.fromiter((r.bit_count() for r in g.rows), dtype=np.int32, count=n)
     core = np.zeros(n, dtype=np.int32)
     alive = np.ones(n, dtype=bool)
@@ -212,7 +227,7 @@ def core_numbers(g: Graph) -> CoreNumbers:
         alive[peel] = False
         left -= len(peel)
         for s in range(0, len(peel), batch):
-            removed = _unpack(packed[peel[s : s + batch]], n)
+            removed = _unpack(g.packed[peel[s : s + batch]], n)
             degree -= removed.sum(axis=0, dtype=np.int32)
     return CoreNumbers(values=tuple(core.tolist()))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from scipy.spatial.distance import cdist
 
 from .clipper_plus import ClipperPlusReport, clipper_plus
 from .errors import InputError, RegistrationError
-from .graph import Graph, _from_packed
+from .graph import Graph, _check_packed_size, _from_packed
 from .relaxation import SolverParams
 
 SCENARIO_FORMAT = "cliquereg-scenario-v1"
@@ -147,10 +148,6 @@ def _distance_mismatch(
 # block starts on a byte of the packed rows.
 _BUILD_BLOCK = 128
 
-# The largest packed graph the build allocates, n * ceil(n/8) bytes: 1 GiB,
-# which admits up to 92,680 associations.
-_MAX_PACKED_BYTES = 1 << 30
-
 
 def build_consistency_graph(
     cloud_a: PointCloud,
@@ -169,25 +166,20 @@ def build_consistency_graph(
     associations and computes each block against columns ``s..n`` only, the
     upper triangle. It packs the block's bits into rows ``s..e`` and the
     transpose of its part right of the block into rows ``e..n``, so the
-    graph is symmetric by construction. Memory is O(B·n) beyond the
-    ``n * ceil(n/8)`` bytes of packed rows (and the rows as Python ints,
-    the same size again): a block's mismatch peaks at two ``B x n`` float64
-    matrices, 2 MB at 1k associations and 41 MB at 20k, where the packed
-    rows take 125 kB and 50 MB. A count whose packed rows would pass
-    ``_MAX_PACKED_BYTES`` raises ``InputError`` before anything of size n²
-    is allocated.
+    graph is symmetric by construction, and the graph keeps those packed
+    rows. Memory is O(B·n) beyond the ``n * ceil(n/8)`` bytes of packed rows
+    (and the rows as Python ints, the same size again): a block's mismatch
+    peaks at two ``B x n`` float64 matrices, 2 MB at 1k associations and
+    41 MB at 20k, where the packed rows take 125 kB and 50 MB. A count whose
+    packed rows would pass ``graph._MAX_PACKED_BYTES`` raises ``InputError``
+    before anything of size n² is allocated.
     """
     if not (0.0 < epsilon < math.inf):
         raise InputError(f"epsilon must be positive and finite, got {epsilon}")
     n = len(associations)
     if n == 0:
         raise InputError("need at least one association")
-    nbytes = (n + 7) // 8
-    if n * nbytes > _MAX_PACKED_BYTES:
-        raise InputError(
-            f"{n} associations need {n * nbytes} bytes of packed graph rows, "
-            f"over the cap of {_MAX_PACKED_BYTES}"
-        )
+    _check_packed_size(n)
     ai = np.array([a.a_index for a in associations], dtype=int)
     bi = np.array([a.b_index for a in associations], dtype=int)
     if ai.min() < 0 or ai.max() >= len(cloud_a):
@@ -200,7 +192,12 @@ def build_consistency_graph(
     # their ranks, which fit int32 under the cap: half the bytes to compare.
     ai = np.unique(ai, return_inverse=True)[1].astype(np.int32)
     bi = np.unique(bi, return_inverse=True)[1].astype(np.int32)
-    packed = np.zeros((n, nbytes), dtype=np.uint8)
+    # The graph keeps these rows for the whole solve. They go into an
+    # anonymous mapping, zero-filled by the kernel, rather than onto the
+    # malloc heap, where they raised the peak RSS of the perfbench
+    # register workload by up to 2 MB and made it vary between runs.
+    nbytes = (n + 7) // 8
+    packed = np.frombuffer(mmap.mmap(-1, n * nbytes), dtype=np.uint8).reshape(n, nbytes)
     for s in range(0, n, _BUILD_BLOCK):
         e = min(s + _BUILD_BLOCK, n)
         blk = _distance_mismatch(pa[s:e], pb[s:e], pa[s:], pb[s:]) < epsilon

@@ -25,6 +25,19 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     return Graph.from_adjacency(adj)
 
 
+def assert_packed_rows_match(g: Graph) -> None:
+    """The graph's two forms hold the same bits: ``packed[i]`` is the
+    little-endian bytes of ``rows[i]``, read-only, and the graph survives a
+    round trip through its boolean matrix with an equal hash."""
+    nbytes = (g.n + 7) // 8
+    assert g.packed.shape == (g.n, nbytes) and g.packed.dtype == np.uint8
+    assert not g.packed.flags.writeable
+    for i in range(g.n):
+        assert g.packed[i].tobytes() == g.rows[i].to_bytes(nbytes, "little")
+    back = Graph.from_adjacency(g.adjacency_matrix())
+    assert back == g and hash(back) == hash(g)
+
+
 def core_test_graphs():
     """Labelled graphs for the core-number oracles: consistency graphs of
     seeded scenes (300 and 1000 associations, outlier ratios 0.5 and 0.95)

@@ -42,6 +42,13 @@ class TestSolve:
         bad.write_text("e 1 2\n")
         assert main(["solve", str(bad)]) == 1
 
+    def test_vertex_count_over_packed_graph_cap_is_input_error(self, tmp_path, capsys):
+        # 92,681 vertices would need just over 1 GiB of packed rows.
+        path = tmp_path / "huge.clq"
+        path.write_text("p edge 92681 0\n")
+        assert main(["solve", str(path)]) == 1
+        assert "cap" in capsys.readouterr().err
+
     def test_budget_exhaustion_exit_code(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
         n = 40
@@ -103,8 +110,15 @@ class TestBenchDimacs:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("graph_id,")
         assert len(lines) == 3
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[1].split() == ["graph", "algo", "size", "omega", "r", "ms"]
+        assert [row.split()[:5] for row in stdout[2:4]] == [
+            ["example", "exact", "3", "-", "-"],
+            ["example", "greedy", "3", "-", "-"],
+        ]
+        assert stdout[4].startswith("note: no instance matched")
 
-    def test_omega_table_fills_ratio(self, graph_file, tmp_path):
+    def test_omega_table_fills_ratio(self, graph_file, tmp_path, capsys):
         table = tmp_path / "omega.json"
         table.write_text(json.dumps({"example": 3}))
         out = tmp_path / "records.csv"
@@ -114,6 +128,9 @@ class TestBenchDimacs:
         ) == 0
         row = out.read_text().splitlines()[1].split(",")
         assert row[5] == "3" and row[6] == "1.0"
+        stdout = capsys.readouterr().out
+        assert stdout.splitlines()[2].split()[:5] == ["example", "greedy", "3", "3", "1.000"]
+        assert "note:" not in stdout
 
     def test_algo_required(self, graph_file, tmp_path, capsys):
         assert main(["bench-dimacs", graph_file, "--out", str(tmp_path / "o.csv")]) == 1

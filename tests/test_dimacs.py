@@ -33,6 +33,13 @@ def test_duplicate_edges_collapse():
     assert g.edge_count == 1
 
 
+def test_vertex_count_over_packed_graph_cap_rejected():
+    # The header alone sizes the graph: 92,681 vertices need just over 1 GiB
+    # of packed rows, refused before they are allocated.
+    with pytest.raises(InputError, match="cap"):
+        parse_dimacs("p edge 92681 0\n")
+
+
 def test_isolated_vertices_allowed():
     g = parse_dimacs("p edge 10 1\ne 1 2\n")
     assert g.n == 10

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +14,7 @@ from cliquereg import (
     validate_clique,
 )
 
-from .conftest import core_test_graphs, random_graph
+from .conftest import assert_packed_rows_match, core_test_graphs, random_graph
 from .oracles import bucket_queue_core_numbers, naive_core_numbers
 
 
@@ -40,12 +42,30 @@ class TestConstruction:
         g = Graph.from_edge_list(3, [(1, 2), (2, 1), (1, 2)])
         assert g.edge_count == 1
         assert g.adjacent(0, 1) and g.adjacent(1, 0)
+        assert_packed_rows_match(g)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9])
+    def test_edge_list_packed_rows_around_byte_boundaries(self, n):
+        # Every pair, each also given reversed, so every byte of every row
+        # is written more than once.
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        g = Graph.from_edge_list(n, edges + [(j, i) for i, j in edges])
+        assert g.edge_count == n * (n - 1) // 2
+        assert_packed_rows_match(g)
 
     def test_out_of_range_endpoint_rejected(self):
         with pytest.raises(InputError, match="outside"):
             Graph.from_edge_list(3, [(1, 4)])
         with pytest.raises(InputError, match="outside"):
             Graph.from_edge_list(3, [(0, 2)])
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [((1,), "not a pair"), ((1, 2, 3), "not a pair"), (7, "not a pair"), ((1.5, 2), "integers")],
+    )
+    def test_malformed_edge_rejected(self, edge, message):
+        with pytest.raises(InputError, match=message):
+            Graph.from_edge_list(3, [(1, 2), edge])
 
     def test_self_loop_rejected(self):
         with pytest.raises(InputError, match="self-loop"):
@@ -54,6 +74,12 @@ class TestConstruction:
     def test_empty_graph(self):
         g = Graph.from_edge_list(0, [])
         assert g.n == 0 and g.edge_count == 0
+
+    def test_vertex_count_over_packed_cap_rejected(self):
+        # 92,681 vertices need just over 1 GiB of packed rows; the count is
+        # refused before they are allocated.
+        with pytest.raises(InputError, match="cap"):
+            Graph.from_edge_list(92681, [])
 
     def test_from_adjacency_requires_symmetry(self):
         mat = np.zeros((3, 3), dtype=bool)
@@ -70,7 +96,7 @@ class TestConstruction:
         rng = np.random.default_rng(7)
         for _ in range(20):
             g = random_graph(rng, int(rng.integers(1, 40)), rng.uniform())
-            assert Graph.from_adjacency(g.adjacency_matrix()) == g
+            assert_packed_rows_match(g)
 
     def test_neighbors_and_degrees(self, triangle_plus_edge):
         g = triangle_plus_edge
@@ -94,6 +120,7 @@ class TestConstruction:
                 expected = full[np.ix_(index_map, index_map)]
                 assert np.array_equal(sub.adjacency_matrix(), expected)
                 assert sub.edge_count == np.count_nonzero(expected) // 2
+                assert_packed_rows_match(sub)
 
     def test_induced_subgraph_rejects_out_of_range(self, triangle_plus_edge):
         for bad in (-1, triangle_plus_edge.n):
@@ -144,6 +171,21 @@ class TestCoreNumbers:
         g = Graph.from_edge_list(n, edges)
         assert list(core_numbers(g).values) == expected
         assert core_numbers(g) == bucket_queue_core_numbers(g)
+
+    def test_peak_memory_under_half_the_packed_rows(self):
+        # The peel reads the graph's packed rows and unpacks at most 1 MiB of
+        # them at a time; a second copy of the rows alone would pass the
+        # bound.
+        n = 8000
+        ends = np.random.default_rng(5).integers(1, n + 1, size=(40000, 2))
+        g = Graph.from_edge_list(n, [(i, j) for i, j in ends.tolist() if i != j])
+        tracemalloc.start()
+        try:
+            core_numbers(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * ((n + 7) // 8) / 2
 
     def test_matches_naive_peeling_on_200_random_graphs(self):
         rng = np.random.default_rng(42)
@@ -221,6 +263,7 @@ def test_from_edge_list_symmetric_and_loop_free(data):
     assert np.array_equal(mat, mat.T)
     assert not mat.diagonal().any()
     assert g.edge_count == int(np.count_nonzero(mat)) // 2
+    assert_packed_rows_match(g)
 
 
 @given(st.data())

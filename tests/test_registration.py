@@ -1,5 +1,6 @@
 import json
 import math
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from cliquereg import (
     Association,
-    Graph,
     InputError,
     PointCloud,
     RegistrationError,
@@ -24,12 +24,10 @@ from cliquereg import (
     save_scenario,
     synthetic_scene,
 )
-from cliquereg.registration import (
-    _BUILD_BLOCK,
-    _MAX_PACKED_BYTES,
-    _distance_mismatch,
-)
+from cliquereg.graph import _MAX_PACKED_BYTES
+from cliquereg.registration import _BUILD_BLOCK, _distance_mismatch
 
+from .conftest import assert_packed_rows_match
 from .oracles import broadcast_distance_mismatch
 
 
@@ -127,7 +125,7 @@ class TestConsistencyGraph:
             assert g.edge_count == np.count_nonzero(want) // 2
             # from_adjacency re-checks the symmetry and the empty diagonal
             # that the blocked build only has by construction.
-            assert Graph.from_adjacency(g.adjacency_matrix()) == g
+            assert_packed_rows_match(g)
 
     def test_graph_matches_broadcast_reference_at_exact_ties(self):
         # Associations reuse endpoints, so the endpoint rule decides edges
@@ -174,6 +172,18 @@ class TestConsistencyGraph:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20
+
+    def test_built_rows_live_outside_the_malloc_heap(self):
+        # The graph keeps its packed rows for the whole solve, so the build
+        # writes them into an anonymous mapping rather than onto the heap.
+        scene = synthetic_scene(80, 0.2, 80, 1.0, 100, 0.6, seed=3)
+        g = build_consistency_graph(
+            scene.cloud_a, scene.cloud_b, scene.associations, scene.epsilon
+        )
+        owner = g.packed
+        while isinstance(owner, (np.ndarray, memoryview)):
+            owner = owner.base if isinstance(owner, np.ndarray) else owner.obj
+        assert isinstance(owner, mmap.mmap)
 
     def test_association_count_over_packed_cap_rejected(self):
         # 92,681 associations need n * ceil(n/8) bytes of packed rows, just
