@@ -189,6 +189,45 @@ def _record_sort_key(rec: BenchRecord):
     return (rec.graph_id, rec.algo, rec.seed if rec.seed is not None else -1)
 
 
+def _bench_graph(
+    graph_id: str,
+    g: Graph,
+    algorithms: Sequence[str],
+    omega: int | None,
+    seed: int | None,
+    params: SolverParams | None,
+    exact_budget: int,
+) -> list[BenchRecord]:
+    """One record per algorithm run on ``g``.
+
+    A run that fails (relaxation stall or exact-search budget) is warned
+    about on stderr and leaves no record, so the other runs still count.
+    """
+    s = sparsity(g)
+    records = []
+    for name in algorithms:
+        try:
+            run = run_algorithm(name, g, params=params, exact_budget=exact_budget)
+        except (SolverFailure, BudgetExceeded) as exc:
+            print(f"warning: {name} failed on {graph_id}: {exc}", file=sys.stderr)
+            continue
+        records.append(
+            BenchRecord(
+                graph_id=graph_id,
+                n=g.n,
+                sparsity=s,
+                algo=name,
+                clique_size=run.clique.size,
+                omega_gt=omega,
+                r=None if omega is None else accuracy_ratio(run.clique.size, omega),
+                runtime_ms=run.runtime_ms,
+                seed=seed,
+                early_terminated=run.early_terminated,
+            )
+        )
+    return records
+
+
 def bench_dimacs(
     paths: Sequence[str | Path],
     algorithms: Sequence[str],
@@ -200,7 +239,8 @@ def bench_dimacs(
     """Benchmark each algorithm on each DIMACS file.
 
     ``omega_gt`` overrides/extends the built-in table of published maximum
-    clique sizes; graphs without a known maximum get empty ratio cells.
+    clique sizes; graphs without a known maximum get empty ratio cells. A
+    failed run is warned about and leaves no record.
     """
     table = dict(DIMACS_OMEGA)
     if omega_gt:
@@ -208,25 +248,10 @@ def bench_dimacs(
     records = []
     for path in paths:
         graph_id = Path(path).stem
-        g = load_dimacs(path)
-        s = sparsity(g)
-        omega = table.get(graph_id)
-        for name in algorithms:
-            run = run_algorithm(name, g, params=params, exact_budget=exact_budget)
-            records.append(
-                BenchRecord(
-                    graph_id=graph_id,
-                    n=g.n,
-                    sparsity=s,
-                    algo=name,
-                    clique_size=run.clique.size,
-                    omega_gt=omega,
-                    r=None if omega is None else accuracy_ratio(run.clique.size, omega),
-                    runtime_ms=run.runtime_ms,
-                    seed=None,
-                    early_terminated=run.early_terminated,
-                )
-            )
+        records += _bench_graph(
+            graph_id, load_dimacs(path), algorithms, table.get(graph_id),
+            None, params, exact_budget,
+        )
     records.sort(key=_record_sort_key)
     return records
 
@@ -244,8 +269,9 @@ def bench_synthetic(
 
     Ground truth comes from the exact solver on each consistency graph;
     scenarios where its budget runs out keep their size/time cells but get
-    empty ratio cells and are left out of the aggregates. Returns the raw
-    records plus per-increment mean accuracy ratios.
+    empty ratio cells and are left out of the aggregates. A failed run is
+    warned about and leaves no record. Returns the raw records plus
+    per-increment mean accuracy ratios.
     """
     records: list[BenchRecord] = []
     sums: dict[tuple[int, str], list[float]] = {}
@@ -266,42 +292,19 @@ def bench_synthetic(
             g = build_consistency_graph(
                 scene.cloud_a, scene.cloud_b, scene.associations, scene.epsilon
             )
-            s = sparsity(g)
-            spars.setdefault(pct, []).append(s)
-            graph_id = f"synthetic_o{pct:03d}_t{trial:03d}"
+            spars.setdefault(pct, []).append(sparsity(g))
             try:
                 omega = max_clique_exact(g, budget=config.oracle_budget).size
             except BudgetExceeded:
                 omega = None
-            for name in config.algorithms:
-                try:
-                    run = run_algorithm(
-                        name, g, params=config.params,
-                        exact_budget=config.oracle_budget,
-                    )
-                except (SolverFailure, BudgetExceeded) as exc:
-                    print(
-                        f"warning: {name} failed on {graph_id}: {exc}",
-                        file=sys.stderr,
-                    )
-                    continue
-                r = None if omega is None else accuracy_ratio(run.clique.size, omega)
-                records.append(
-                    BenchRecord(
-                        graph_id=graph_id,
-                        n=g.n,
-                        sparsity=s,
-                        algo=name,
-                        clique_size=run.clique.size,
-                        omega_gt=omega,
-                        r=r,
-                        runtime_ms=run.runtime_ms,
-                        seed=seed,
-                        early_terminated=run.early_terminated,
-                    )
-                )
-                if r is not None:
-                    sums.setdefault((pct, name), []).append(r)
+            runs = _bench_graph(
+                f"synthetic_o{pct:03d}_t{trial:03d}", g, config.algorithms,
+                omega, seed, config.params, config.oracle_budget,
+            )
+            for rec in runs:
+                if rec.r is not None:
+                    sums.setdefault((pct, rec.algo), []).append(rec.r)
+            records += runs
 
     aggregates = []
     for pct in config.outlier_percentages:

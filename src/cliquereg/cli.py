@@ -28,6 +28,8 @@ from .errors import (
     InputError,
     RegistrationError,
     SolverFailure,
+    read_json_object,
+    read_text,
 )
 from .registration import (
     Association,
@@ -51,14 +53,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_params(path: str | None) -> SolverParams | None:
     if path is None:
         return None
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read parameter file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"parameter file is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise InputError("parameter file must hold a JSON object")
+    payload = read_json_object(path, "parameter")
     allowed = {"sigma", "beta", "tol", "d0", "d_max"}
     unknown = set(payload) - allowed
     if unknown:
@@ -69,52 +64,27 @@ def _load_params(path: str | None) -> SolverParams | None:
         raise InputError(f"bad solver parameters: {exc}") from exc
 
 
-def _load_cloud(path: str) -> PointCloud:
+def _read_rows(path: str, what: str, form: str, parse) -> list:
+    """``parse(fields)`` of each line of the form ``form`` in a text file.
+
+    Blank lines and ``#`` comments are skipped; a file with no other line
+    is an input error.
+    """
     rows = []
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read cloud file: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, what).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise InputError(f"{path}:{lineno}: expected 'x y z', got {line!r}")
+        fields = line.split()
+        if len(fields) != len(form.split()):
+            raise InputError(f"{path}:{lineno}: expected '{form}', got {line!r}")
         try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise InputError(
-                f"{path}:{lineno}: non-numeric coordinate in {line!r}"
-            ) from None
+            rows.append(parse(fields))
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc} in {line!r}") from None
     if not rows:
-        raise InputError(f"{path}: no points")
-    return PointCloud(np.array(rows))
-
-
-def _load_associations(path: str) -> list[Association]:
-    out = []
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read association file: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise InputError(f"{path}:{lineno}: expected 'i j', got {line!r}")
-        try:
-            out.append(Association(int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise InputError(
-                f"{path}:{lineno}: non-integer index in {line!r}"
-            ) from None
-    if not out:
-        raise InputError(f"{path}: no associations")
-    return out
+        raise InputError(f"{path}: no '{form}' lines")
+    return rows
 
 
 def _cmd_solve(args) -> int:
@@ -139,14 +109,7 @@ def _cmd_solve(args) -> int:
 def _cmd_bench_dimacs(args) -> int:
     table = None
     if args.omega_gt:
-        try:
-            payload = json.loads(Path(args.omega_gt).read_text())
-        except OSError as exc:
-            raise InputError(f"cannot read omega table: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"omega table is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise InputError("omega table must be a JSON object")
+        payload = read_json_object(args.omega_gt, "omega table")
         table = {str(k): int(v) for k, v in payload.items()}
     records = bench_dimacs(
         args.graphs,
@@ -204,7 +167,7 @@ def _cmd_bench_synthetic(args) -> int:
 
 def _cmd_register(args) -> int:
     params = _load_params(args.params)
-    gt = None
+    scene = None
     if args.scenario:
         if args.cloud_a or args.cloud_b or args.associations:
             raise InputError("--scenario cannot be combined with cloud files")
@@ -212,7 +175,6 @@ def _cmd_register(args) -> int:
         cloud_a, cloud_b = scene.cloud_a, scene.cloud_b
         associations = list(scene.associations)
         epsilon = args.epsilon if args.epsilon is not None else scene.epsilon
-        gt = scene.gt_transform
     else:
         if not (args.cloud_a and args.cloud_b and args.associations):
             raise InputError(
@@ -221,33 +183,51 @@ def _cmd_register(args) -> int:
             )
         if args.epsilon is None:
             raise InputError("--epsilon is required with raw cloud files")
-        cloud_a = _load_cloud(args.cloud_a)
-        cloud_b = _load_cloud(args.cloud_b)
-        associations = _load_associations(args.associations)
+        cloud_a, cloud_b = (
+            PointCloud(np.array(_read_rows(
+                path, "cloud", "x y z", lambda f: [float(x) for x in f]
+            )))
+            for path in (args.cloud_a, args.cloud_b)
+        )
+        associations = _read_rows(
+            args.associations, "association", "i j",
+            lambda f: Association(int(f[0]), int(f[1])),
+        )
         epsilon = args.epsilon
 
     result = register_clouds(cloud_a, cloud_b, associations, epsilon, params)
+    rep = result.report
     np.set_printoptions(precision=9, suppress=True)
     print(f"associations: {len(associations)}")
     print(f"inliers found: {len(result.inlier_indices)}")
     print(f"inlier association indices: {list(result.inlier_indices)}")
+    print(f"greedy clique size: {rep.greedy_size}")
+    print(f"pruned graph vertices: {rep.pruned_n}")
+    print(f"early termination: {'yes' if rep.early_terminated else 'no'}")
+    print(
+        f"solve time: core {rep.core_ms:.3f} ms, greedy {rep.greedy_ms:.3f} ms, "
+        f"prune {rep.prune_ms:.3f} ms, relax {rep.relax_ms:.3f} ms"
+    )
+    if rep.degraded:
+        print("note: relaxation failed; result comes from the greedy stage")
     print("rotation:")
     print(result.transform.rotation)
     print(f"translation: {result.transform.translation}")
-    if gt is not None:
-        errs = registration_errors(result.transform, gt)
+    payload = {
+        "rotation": result.transform.rotation.tolist(),
+        "translation": result.transform.translation.tolist(),
+        "inlier_indices": list(result.inlier_indices),
+    }
+    if scene is not None:
+        planted = {i for i, inlier in enumerate(scene.inlier_mask) if inlier}
+        found = len(planted.intersection(result.inlier_indices))
+        print(f"planted inliers found: {found} of {len(planted)}")
+        errs = registration_errors(result.transform, scene.gt_transform)
         print(f"rotation error: {errs.rotation_error_deg:.6f} deg")
         print(f"translation error: {errs.translation_error:.6g}")
+        payload["rotation_error_deg"] = errs.rotation_error_deg
+        payload["translation_error"] = errs.translation_error
     if args.out:
-        payload = {
-            "rotation": result.transform.rotation.tolist(),
-            "translation": result.transform.translation.tolist(),
-            "inlier_indices": list(result.inlier_indices),
-        }
-        if gt is not None:
-            errs = registration_errors(result.transform, gt)
-            payload["rotation_error_deg"] = errs.rotation_error_deg
-            payload["translation_error"] = errs.translation_error
         Path(args.out).write_text(json.dumps(payload, indent=1))
         print(f"wrote result to {args.out}")
     return 0
@@ -277,6 +257,16 @@ def _cmd_gen_scene(args) -> int:
             "keep the planted inliers mutually consistent"
         )
     return 0
+
+
+def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
+    """The synthetic-scene flags that gen-scene and bench-synthetic share."""
+    parser.add_argument("--points", type=int, default=200)
+    parser.add_argument("--cube-size", type=float, default=0.2)
+    parser.add_argument("--clutter", type=int, default=200)
+    parser.add_argument("--sphere-radius", type=float, default=1.0)
+    parser.add_argument("--associations", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,12 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algo", action="append", choices=ALGORITHM_NAMES,
         help="algorithm to run (repeatable; default greedy and clipper+)",
     )
-    bs.add_argument("--points", type=int, default=200)
-    bs.add_argument("--cube-size", type=float, default=0.2)
-    bs.add_argument("--clutter", type=int, default=200)
-    bs.add_argument("--sphere-radius", type=float, default=1.0)
-    bs.add_argument("--associations", type=int, default=100)
-    bs.add_argument("--seed", type=int, default=0)
+    _add_scene_flags(bs)
     bs.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET)
     bs.add_argument("--params", help="JSON file with solver parameters")
     bs.add_argument("--out", required=True, help="output CSV/JSON path")
@@ -356,13 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     reg.set_defaults(func=_cmd_register)
 
     gen = sub.add_parser("gen-scene", help="generate a synthetic scenario")
-    gen.add_argument("--points", type=int, default=200)
-    gen.add_argument("--cube-size", type=float, default=0.2)
-    gen.add_argument("--clutter", type=int, default=200)
-    gen.add_argument("--sphere-radius", type=float, default=1.0)
-    gen.add_argument("--associations", type=int, default=100)
+    _add_scene_flags(gen)
     gen.add_argument("--outlier-ratio", type=float, default=0.5)
-    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="scenario JSON path")
     gen.set_defaults(func=_cmd_gen_scene)
 

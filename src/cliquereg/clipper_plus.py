@@ -76,54 +76,36 @@ def clipper_plus(g: Graph, params: SolverParams | None = None) -> ClipperPlusRep
     pruned, index_map = prune_by_core(g, k, greedy.size)
     t3 = time.perf_counter()
 
-    core_ms = (t1 - t0) * 1e3
-    greedy_ms = (t2 - t1) * 1e3
-    prune_ms = (t3 - t2) * 1e3
-
-    if pruned.n == 0:
-        # No vertex can sit in a clique larger than the greedy one: the
-        # greedy clique is a maximum clique.
-        return ClipperPlusReport(
-            clique=greedy,
-            greedy_size=greedy.size,
-            pruned_n=0,
-            early_terminated=True,
-            relaxation_ran=False,
-            degraded=False,
-            core_ms=core_ms,
-            greedy_ms=greedy_ms,
-            prune_ms=prune_ms,
-            relax_ms=0.0,
-        )
-
-    greedy_members = set(greedy.members)
-    guess = np.array(
-        [0.0 if v in greedy_members else 1.0 for v in index_map]
-    )
-    t4 = time.perf_counter()
-    degraded = False
+    # With no survivor, no vertex can sit in a clique larger than the
+    # greedy one: the greedy clique is a maximum clique.
     best = greedy
-    relaxed_size = 0
-    try:
-        local = solve_relaxation(pruned, guess, params)
-        relaxed = Clique.of(index_map[v] for v in local.members)
-        relaxed_size = relaxed.size
-        if relaxed.size > greedy.size:
-            best = relaxed
-    except SolverFailure:
-        degraded = True
-    relax_ms = (time.perf_counter() - t4) * 1e3
+    degraded = False
+    relax_ms = 0.0
+    if pruned.n > 0:
+        greedy_members = set(greedy.members)
+        guess = np.array(
+            [0.0 if v in greedy_members else 1.0 for v in index_map]
+        )
+        t4 = time.perf_counter()
+        try:
+            local = solve_relaxation(pruned, guess, params)
+            relaxed = Clique.of(index_map[v] for v in local.members)
+            if relaxed.size > greedy.size:
+                best = relaxed
+        except SolverFailure:
+            degraded = True
+        relax_ms = (time.perf_counter() - t4) * 1e3
 
     return ClipperPlusReport(
         clique=best,
         greedy_size=greedy.size,
         pruned_n=pruned.n,
-        early_terminated=False,
-        relaxation_ran=True,
+        early_terminated=pruned.n == 0,
+        relaxation_ran=pruned.n > 0,
         degraded=degraded,
-        core_ms=core_ms,
-        greedy_ms=greedy_ms,
-        prune_ms=prune_ms,
+        core_ms=(t1 - t0) * 1e3,
+        greedy_ms=(t2 - t1) * 1e3,
+        prune_ms=(t3 - t2) * 1e3,
         relax_ms=relax_ms,
     )
 
@@ -140,8 +122,8 @@ def accuracy_ratio(found_size: int, omega: int) -> float:
 def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
     """Exact maximum clique by branch and bound.
 
-    Vertices are preordered by the min-degree peeling order, and the greedy
-    clique seeds the lower bound. Each search-tree node colours its
+    Vertices are preordered by core number, ties broken by index, and the
+    greedy clique seeds the lower bound. Each search-tree node colours its
     candidates one class at a time on the bitsets (BBMC, San Segundo et al.
     2011; see ``_colour_classes``), which gives the classes of first-fit
     colouring in index order, already sorted by colour. The search branches
@@ -166,8 +148,9 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
     # anti[v]: every vertex except v and its neighbours (a negative int).
     anti = [~(row | 1 << v) for v, row in enumerate(rows)]
 
-    # Min-degree peeling order; searching it in reverse keeps candidate
-    # sets small (each vertex is combined only with later survivors).
+    # Ascending core number, ties broken by index; searching it in reverse
+    # keeps candidate sets small (each vertex is combined only with the
+    # vertices after it).
     peel = sorted(range(g.n), key=lambda v: (k.values[v], v))
 
     nodes_left = budget

@@ -5,7 +5,7 @@ from __future__ import annotations
 import warnings
 from pathlib import Path
 
-from .errors import DimacsParseError, InputError
+from .errors import DimacsParseError, read_text
 from .graph import Graph
 
 
@@ -84,8 +84,4 @@ def parse_dimacs(text: str) -> Graph:
 
 def load_dimacs(path: str | Path) -> Graph:
     """Read and parse a DIMACS file."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read DIMACS file: {exc}") from exc
-    return parse_dimacs(text)
+    return parse_dimacs(read_text(path, "DIMACS"))

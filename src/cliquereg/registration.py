@@ -21,7 +21,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .clipper_plus import ClipperPlusReport, clipper_plus
-from .errors import InputError, RegistrationError
+from .errors import InputError, RegistrationError, read_json_object
 from .graph import Graph, _check_packed_size, _from_packed
 from .relaxation import SolverParams
 
@@ -457,13 +457,8 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"scenario file is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != SCENARIO_FORMAT:
+    payload = read_json_object(path, "scenario")
+    if payload.get("format") != SCENARIO_FORMAT:
         raise InputError(
             f"not a {SCENARIO_FORMAT} file: {payload.get('format')!r}"
         )

@@ -6,7 +6,6 @@ import pytest
 from cliquereg import (
     BudgetExceeded,
     InputError,
-    SolverParams,
     SweepConfig,
     bench_dimacs,
     bench_synthetic,
@@ -78,6 +77,17 @@ class TestBenchDimacs:
         )
         assert records[0].omega_gt == 3
         assert records[0].r == pytest.approx(1.0)
+
+    def test_failed_run_warns_and_keeps_the_other_records(self, tmp_path, capsys):
+        g = random_graph(np.random.default_rng(3), 40, 0.6)
+        path = tmp_path / "dense.clq"
+        path.write_text(
+            f"p edge {g.n} {g.edge_count}\n"
+            + "".join(f"e {v + 1} {u + 1}\n" for v in range(g.n) for u in g.neighbors(v) if u > v)
+        )
+        records = bench_dimacs([path], ["greedy", "exact"], exact_budget=3)
+        assert [r.algo for r in records] == ["greedy"]
+        assert "warning: exact failed on dense" in capsys.readouterr().err
 
     def test_records_sorted_by_graph_then_algo(self, tmp_path, example_file):
         other = tmp_path / "a_first.clq"

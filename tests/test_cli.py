@@ -21,6 +21,22 @@ def graph_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def dense_graph_file(tmp_path):
+    """A seeded G(40, 0.6) on which the exact search needs more than 3 nodes."""
+    rng = np.random.default_rng(3)
+    n = 40
+    lines = ["p edge 40 0"]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if rng.random() < 0.6:
+                lines.append(f"e {i} {j}")
+    lines[0] = f"p edge 40 {len(lines) - 1}"
+    path = tmp_path / "dense.clq"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 class TestSolve:
     @pytest.mark.parametrize("algo", ["greedy", "relax", "clipper+", "exact"])
     def test_all_algorithms(self, graph_file, algo, capsys):
@@ -49,18 +65,8 @@ class TestSolve:
         assert main(["solve", str(path)]) == 1
         assert "cap" in capsys.readouterr().err
 
-    def test_budget_exhaustion_exit_code(self, tmp_path, capsys):
-        rng = np.random.default_rng(3)
-        n = 40
-        lines = ["p edge 40 0"]
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if rng.random() < 0.6:
-                    lines.append(f"e {i} {j}")
-        lines[0] = f"p edge 40 {len(lines) - 1}"
-        path = tmp_path / "dense.clq"
-        path.write_text("\n".join(lines) + "\n")
-        assert main(["solve", str(path), "--algo", "exact", "--budget", "3"]) == 2
+    def test_budget_exhaustion_exit_code(self, dense_graph_file, capsys):
+        assert main(["solve", dense_graph_file, "--algo", "exact", "--budget", "3"]) == 2
         assert "solver failure" in capsys.readouterr().err
 
     def test_params_file(self, graph_file, tmp_path):
@@ -132,6 +138,16 @@ class TestBenchDimacs:
         assert stdout.splitlines()[2].split()[:5] == ["example", "greedy", "3", "3", "1.000"]
         assert "note:" not in stdout
 
+    def test_failed_run_leaves_the_other_records(self, dense_graph_file, tmp_path, capsys):
+        out = tmp_path / "records.csv"
+        assert main(
+            ["bench-dimacs", dense_graph_file, "--algo", "greedy", "--algo", "exact",
+             "--budget", "3", "--out", str(out)]
+        ) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 and lines[1].split(",")[3] == "greedy"
+        assert "warning: exact failed on dense" in capsys.readouterr().err
+
     def test_algo_required(self, graph_file, tmp_path, capsys):
         assert main(["bench-dimacs", graph_file, "--out", str(tmp_path / "o.csv")]) == 1
 
@@ -156,6 +172,28 @@ class TestBenchSynthetic:
         ) == 1
 
 
+def _raw_files(tmp_path):
+    """Cloud A, cloud B (the same ten points) and the identity pairs."""
+    rng = np.random.default_rng(2)
+    pts = rng.uniform(-1.0, 1.0, size=(10, 3))
+    cloud = "\n".join(f"{x} {y} {z}" for x, y, z in pts) + "\n"
+    a, b, assoc = tmp_path / "a.xyz", tmp_path / "b.xyz", tmp_path / "assoc.txt"
+    a.write_text(cloud)
+    b.write_text(cloud)
+    assoc.write_text("\n".join(f"{i} {i}" for i in range(10)) + "\n")
+    return a, b, assoc
+
+
+# Bad cloud-file text, bad association-file text (None: no file at all), and
+# what must follow the path in the error ("" when no one line is at fault).
+BAD_ROW_FILES = {
+    "unreadable": (None, None, ""),
+    "field count": ("0 0\n", "0 1 2\n", ":1:"),
+    "non-numeric": ("# header\n\n0 x 0\n", "# header\n\n0 1.5\n", ":3:"),
+    "comments only": ("# header\n\n  \n", "# header\n\n  \n", ""),
+}
+
+
 class TestRegisterAndGenScene:
     def test_gen_scene_then_register(self, tmp_path, capsys):
         scene_path = tmp_path / "scene.json"
@@ -171,26 +209,40 @@ class TestRegisterAndGenScene:
         assert code == 0
         stdout = capsys.readouterr().out
         assert "rotation error:" in stdout
+        assert "greedy clique size:" in stdout
+        assert "solve time: core " in stdout
+        assert "planted inliers found: 20 of 20" in stdout.splitlines()
         payload = json.loads(result_path.read_text())
         assert payload["rotation_error_deg"] < 5.0
         rot = np.array(payload["rotation"])
         assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-9)
 
-    def test_register_raw_files(self, tmp_path):
-        rng = np.random.default_rng(2)
-        pts = rng.uniform(-1.0, 1.0, size=(10, 3))
-        cloud = "\n".join(f"{x} {y} {z}" for x, y, z in pts)
-        a = tmp_path / "a.xyz"
-        b = tmp_path / "b.xyz"
-        a.write_text("# cloud A\n" + cloud + "\n")
-        b.write_text(cloud + "\n")
-        assoc = tmp_path / "assoc.txt"
-        assoc.write_text("\n".join(f"{i} {i}" for i in range(10)) + "\n")
+    def test_register_raw_files(self, tmp_path, capsys):
+        a, b, assoc = _raw_files(tmp_path)
+        a.write_text("# cloud A\n\n" + a.read_text() + "   \n")
+        assoc.write_text("# pairs\n\n" + assoc.read_text() + "# end\n")
         code = main(
             ["register", "--cloud-a", str(a), "--cloud-b", str(b),
              "--associations", str(assoc), "--epsilon", "1e-6"]
         )
         assert code == 0
+        assert "inliers found: 10" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--cloud-a", "--associations"])
+    @pytest.mark.parametrize("case", list(BAD_ROW_FILES))
+    def test_bad_row_file_is_input_error(self, tmp_path, capsys, flag, case):
+        a, b, assoc = _raw_files(tmp_path)
+        cloud_text, assoc_text, prefix = BAD_ROW_FILES[case]
+        bad = tmp_path / "bad.txt"
+        text = cloud_text if flag == "--cloud-a" else assoc_text
+        if text is not None:
+            bad.write_text(text)
+        files = {"--cloud-a": a, "--cloud-b": b, "--associations": assoc, flag: bad}
+        argv = ["register", "--epsilon", "0.5"]
+        for name, path in files.items():
+            argv += [name, str(path)]
+        assert main(argv) == 1
+        assert f"{bad}{prefix}" in capsys.readouterr().err
 
     def test_register_requires_epsilon_for_raw_files(self, tmp_path, capsys):
         a = tmp_path / "a.xyz"
@@ -245,14 +297,11 @@ class TestRegisterAndGenScene:
         ) == 1
         assert "cap" in capsys.readouterr().err
 
-    def test_malformed_cloud_line(self, tmp_path, capsys):
-        a = tmp_path / "a.xyz"
-        a.write_text("0 0\n")
-        assert main(
-            ["register", "--cloud-a", str(a), "--cloud-b", str(a),
-             "--associations", str(a), "--epsilon", "0.5"]
-        ) == 1
-        assert ":1:" in capsys.readouterr().err
+    def test_scenario_not_an_object_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["register", "--scenario", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_gen_scene_infeasible_is_input_error(self, tmp_path, capsys):
         assert main(

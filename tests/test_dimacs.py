@@ -104,3 +104,9 @@ class TestLoadDimacs:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="cannot read"):
             load_dimacs(tmp_path / "absent.clq")
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "binary.clq"
+        path.write_bytes(b"p edge 2 1\ne 1 2\n\xff\n")
+        with pytest.raises(InputError, match="cannot read DIMACS file"):
+            load_dimacs(path)

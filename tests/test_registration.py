@@ -476,9 +476,12 @@ class TestScenarioSerialization:
         assert r.epsilon_inflation == s.epsilon_inflation
         assert r.seed == s.seed
 
-    def test_rejects_wrong_format(self, tmp_path):
+    @pytest.mark.parametrize(
+        "payload", [{"format": "something-else"}, [1, 2]], ids=["other format", "list"]
+    )
+    def test_rejects_wrong_format(self, tmp_path, payload):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format": "something-else"}))
+        path.write_text(json.dumps(payload))
         with pytest.raises(InputError):
             load_scenario(path)
 
