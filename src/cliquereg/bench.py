@@ -79,6 +79,7 @@ class AlgorithmRun:
     clique: Clique
     runtime_ms: float
     early_terminated: bool | None = None
+    colour_certified: bool | None = None
     degraded: bool = False
 
 
@@ -172,6 +173,7 @@ def run_algorithm(
             clique=result.clique,
             runtime_ms=runtime_ms,
             early_terminated=result.early_terminated,
+            colour_certified=result.colour_certified,
             degraded=result.degraded,
         )
     else:

@@ -87,6 +87,10 @@ def _read_rows(path: str, what: str, form: str, parse) -> list:
     return rows
 
 
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
 def _cmd_solve(args) -> int:
     g = load_dimacs(args.graph)
     params = _load_params(args.params)
@@ -100,7 +104,8 @@ def _cmd_solve(args) -> int:
     print(f"clique (1-based): {vertices}")
     print(f"solve time: {run.runtime_ms:.3f} ms")
     if run.early_terminated is not None:
-        print(f"early termination: {'yes' if run.early_terminated else 'no'}")
+        print(f"early termination: {_yes_no(run.early_terminated)}")
+        print(f"colour bound certified: {_yes_no(run.colour_certified)}")
     if run.degraded:
         print("note: relaxation failed; result comes from the greedy stage")
     return 0
@@ -110,7 +115,14 @@ def _cmd_bench_dimacs(args) -> int:
     table = None
     if args.omega_gt:
         payload = read_json_object(args.omega_gt, "omega table")
-        table = {str(k): int(v) for k, v in payload.items()}
+        table = {}
+        for k, v in payload.items():
+            # bool is an int subclass; a JSON true is not a clique size.
+            if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
+                raise InputError(
+                    f"--omega-gt value for {k!r} must be a positive integer, got {v!r}"
+                )
+            table[str(k)] = v
     records = bench_dimacs(
         args.graphs,
         args.algo,
@@ -203,7 +215,8 @@ def _cmd_register(args) -> int:
     print(f"inlier association indices: {list(result.inlier_indices)}")
     print(f"greedy clique size: {rep.greedy_size}")
     print(f"pruned graph vertices: {rep.pruned_n}")
-    print(f"early termination: {'yes' if rep.early_terminated else 'no'}")
+    print(f"early termination: {_yes_no(rep.early_terminated)}")
+    print(f"colour bound certified: {_yes_no(rep.colour_certified)}")
     print(
         f"solve time: core {rep.core_ms:.3f} ms, greedy {rep.greedy_ms:.3f} ms, "
         f"prune {rep.prune_ms:.3f} ms, relax {rep.relax_ms:.3f} ms"

@@ -3,9 +3,15 @@
 The greedy pass gives a maximal clique fast. Every vertex whose core number
 is below that size cannot belong to a strictly larger clique, so the graph
 is pruned down to the survivors. If nothing survives, the greedy clique is
-provably maximum. Otherwise the continuous relaxation searches the pruned
-graph, seeded with the binary complement of the greedy clique, and the
-larger of the two answers wins (ties keep the greedy one).
+provably maximum. Otherwise the survivors are coloured once, first-fit in
+index order (the colouring kernel of the exact search): a colouring with at
+most as many colours as the greedy clique has members bounds every clique
+of the pruned graph by that size, so the greedy clique is again maximum and
+the relaxation is skipped. Only when the colour bound leaves room does the
+continuous relaxation search the pruned graph, seeded with the binary
+complement of the greedy clique, and the larger of the two answers wins
+(ties keep the greedy one, so skipping a relaxation that cannot win never
+changes the result).
 
 Also hosts the exact branch-and-bound solver used as ground truth in
 benchmarks and tests.
@@ -28,12 +34,20 @@ DEFAULT_EXACT_BUDGET = 20_000_000
 
 @dataclass(frozen=True)
 class ClipperPlusReport:
-    """Outcome of the combined solver, with per-phase timing in ms."""
+    """Outcome of the combined solver, with per-phase timing in ms.
+
+    ``early_terminated``: the prune left no vertex. ``colour_certified``:
+    survivors remained, but a colouring of them with at most
+    ``greedy_size`` colours proved the greedy clique maximum, so the
+    relaxation did not run. ``relaxation_ran`` is true only when it did.
+    ``prune_ms`` includes the colouring.
+    """
 
     clique: Clique
     greedy_size: int
     pruned_n: int
     early_terminated: bool
+    colour_certified: bool
     relaxation_ran: bool
     degraded: bool
     core_ms: float
@@ -74,14 +88,19 @@ def clipper_plus(g: Graph, params: SolverParams | None = None) -> ClipperPlusRep
     greedy = greedy_maximal_clique(g, k)
     t2 = time.perf_counter()
     pruned, index_map = prune_by_core(g, k, greedy.size)
+    # With no survivor, or with survivors that greedy.size colours cover
+    # (no colour class reaches greedy.size + 1), no clique is larger than
+    # the greedy one: the greedy clique is a maximum clique.
+    colour_certified = pruned.n > 0 and not _colour_classes(
+        (1 << pruned.n) - 1, _anti_rows(pruned.rows), greedy.size + 1
+    )
     t3 = time.perf_counter()
 
-    # With no survivor, no vertex can sit in a clique larger than the
-    # greedy one: the greedy clique is a maximum clique.
+    relaxation_ran = pruned.n > 0 and not colour_certified
     best = greedy
     degraded = False
     relax_ms = 0.0
-    if pruned.n > 0:
+    if relaxation_ran:
         greedy_members = set(greedy.members)
         guess = np.array(
             [0.0 if v in greedy_members else 1.0 for v in index_map]
@@ -101,7 +120,8 @@ def clipper_plus(g: Graph, params: SolverParams | None = None) -> ClipperPlusRep
         greedy_size=greedy.size,
         pruned_n=pruned.n,
         early_terminated=pruned.n == 0,
-        relaxation_ran=pruned.n > 0,
+        colour_certified=colour_certified,
+        relaxation_ran=relaxation_ran,
         degraded=degraded,
         core_ms=(t1 - t0) * 1e3,
         greedy_ms=(t2 - t1) * 1e3,
@@ -145,8 +165,7 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
     best = list(greedy_maximal_clique(g, k).members)
     best_size = len(best)
     rows = g.rows
-    # anti[v]: every vertex except v and its neighbours (a negative int).
-    anti = [~(row | 1 << v) for v, row in enumerate(rows)]
+    anti = _anti_rows(rows)
 
     # Ascending core number, ties broken by index; searching it in reverse
     # keeps candidate sets small (each vertex is combined only with the
@@ -194,6 +213,12 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
         ) from None
 
     return Clique.of(best)
+
+
+def _anti_rows(rows: tuple[int, ...]) -> list[int]:
+    """``anti[v]``: every vertex except ``v`` and its neighbours (a
+    negative int), the mask ``_colour_classes`` keeps for a class of ``v``."""
+    return [~(row | 1 << v) for v, row in enumerate(rows)]
 
 
 def _colour_classes(

@@ -92,10 +92,15 @@ def uniform_initial_guess(n: int) -> np.ndarray:
     return np.full(n, 1.0 / math.sqrt(n))
 
 
-def penalized_matrix(mask_f: np.ndarray, d: float) -> np.ndarray:
+def penalized_matrix(
+    mask_f: np.ndarray, d: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Build ``M_d`` from the adjacency-plus-identity mask as floats:
-    1 where the mask is 1, ``-d`` where it is 0."""
-    return mask_f * (1.0 + d) - d
+    1 where the mask is 1, ``-d`` where it is 0. Written into ``out``
+    when given (same shape as ``mask_f``), else into a new array."""
+    out = np.multiply(mask_f, 1.0 + d, out=out)
+    out -= d
+    return out
 
 
 def evaluate(matrix: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
@@ -218,6 +223,9 @@ def solve_relaxation(
     mask = g.adjacency_matrix()
     np.fill_diagonal(mask, True)
     mask_f = mask.astype(float)
+    # M_d of each round overwrites the last one's, so a solve holds one
+    # n x n matrix besides the mask, never two.
+    matrix = np.empty_like(mask_f)
 
     d = float(params.d0)
     alpha = 1.0
@@ -226,7 +234,7 @@ def solve_relaxation(
 
     outer = 0
     while True:
-        matrix = penalized_matrix(mask_f, d)
+        penalized_matrix(mask_f, d, out=matrix)
         f_value, grad = evaluate(matrix, u)
 
         binary, support = _is_binary_state(g, u, f_value, tol)

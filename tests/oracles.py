@@ -6,14 +6,23 @@ enumeration, the penalized matrix entry by entry, derivatives by
 central differences on the sphere. Four are earlier forms of library
 code kept as references it must match exactly: the bucket-queue core
 numbers, the broadcast distance mismatch, the candidate-list greedy and
-the first-fit exact search.
+the first-fit exact search. One more, CLIPPER+ without its colour bound,
+pins that skipping a relaxation the bound proves useless changes no result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cliquereg import CoreNumbers, Graph, core_numbers, greedy_maximal_clique
+from cliquereg import (
+    CoreNumbers,
+    Graph,
+    SolverFailure,
+    core_numbers,
+    greedy_maximal_clique,
+    prune_by_core,
+    solve_relaxation,
+)
 
 
 def naive_core_numbers(g: Graph) -> list[int]:
@@ -225,3 +234,23 @@ def reference_max_clique_exact(g: Graph) -> tuple[tuple[int, ...], int]:
             stack.pop()
         after |= 1 << v
     return tuple(sorted(best)), nodes
+
+
+def always_relax_clipper_plus(g: Graph) -> tuple[tuple[int, ...], int, int]:
+    """Members, greedy size and pruned vertex count of CLIPPER+ with no
+    colour bound: the relaxation runs whenever the prune leaves a vertex,
+    seeded with the complement of the greedy clique, and wins only when
+    strictly larger; a failed relaxation keeps the greedy clique."""
+    k = core_numbers(g)
+    greedy = greedy_maximal_clique(g, k)
+    pruned, index_map = prune_by_core(g, k, greedy.size)
+    best = greedy.members
+    if pruned.n > 0:
+        guess = np.array([0.0 if v in greedy.members else 1.0 for v in index_map])
+        try:
+            local = solve_relaxation(pruned, guess)
+        except SolverFailure:
+            local = None
+        if local is not None and local.size > greedy.size:
+            best = tuple(sorted(index_map[v] for v in local.members))
+    return best, greedy.size, pruned.n

@@ -47,7 +47,19 @@ class TestSolve:
 
     def test_default_algorithm_reports_early_termination(self, graph_file, capsys):
         assert main(["solve", graph_file]) == 0
-        assert "early termination: yes" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert "early termination: yes" in lines
+        assert "colour bound certified: no" in lines
+
+    def test_reports_colour_bound(self, tmp_path, capsys):
+        # K_{3,3}: all six vertices survive the prune, two colours cover them.
+        path = tmp_path / "k33.clq"
+        path.write_text("p edge 6 9\n" + "".join(
+            f"e {a} {b}\n" for a in (1, 2, 3) for b in (4, 5, 6)))
+        assert main(["solve", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "early termination: no" in lines
+        assert "colour bound certified: yes" in lines
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["solve", "/nonexistent/path.clq"]) == 1
@@ -138,6 +150,22 @@ class TestBenchDimacs:
         assert stdout.splitlines()[2].split()[:5] == ["example", "greedy", "3", "3", "1.000"]
         assert "note:" not in stdout
 
+    @pytest.mark.parametrize(
+        "value", ["x", [1], 1.7, True, 0], ids=["string", "list", "float", "bool", "zero"]
+    )
+    def test_omega_value_not_a_positive_int_is_input_error(
+        self, graph_file, tmp_path, capsys, value
+    ):
+        table = tmp_path / "omega.json"
+        table.write_text(json.dumps({"example": value}))
+        assert main(
+            ["bench-dimacs", graph_file, "--algo", "greedy",
+             "--omega-gt", str(table), "--out", str(tmp_path / "records.csv")]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'example'" in err
+        assert not (tmp_path / "records.csv").exists()
+
     def test_failed_run_leaves_the_other_records(self, dense_graph_file, tmp_path, capsys):
         out = tmp_path / "records.csv"
         assert main(
@@ -210,6 +238,7 @@ class TestRegisterAndGenScene:
         stdout = capsys.readouterr().out
         assert "rotation error:" in stdout
         assert "greedy clique size:" in stdout
+        assert "colour bound certified: no" in stdout.splitlines()
         assert "solve time: core " in stdout
         assert "planted inliers found: 20 of 20" in stdout.splitlines()
         payload = json.loads(result_path.read_text())

@@ -12,11 +12,13 @@ from cliquereg import (
     InputError,
     SolverFailure,
     accuracy_ratio,
+    build_consistency_graph,
     clipper_plus,
     core_numbers,
     greedy_maximal_clique,
     max_clique_exact,
     prune_by_core,
+    synthetic_scene,
     validate_clique,
 )
 import importlib
@@ -25,6 +27,7 @@ clipper_plus_module = importlib.import_module("cliquereg.clipper_plus")
 
 from .conftest import random_graph
 from .oracles import (
+    always_relax_clipper_plus,
     brute_force_max_clique,
     first_fit_colour_order,
     reference_max_clique_exact,
@@ -158,6 +161,72 @@ class TestClipperPlus:
         report = clipper_plus(g)
         check = validate_clique(g, report.clique.members)
         assert check.is_clique and check.is_maximal
+
+
+def _relaxation_spy(monkeypatch) -> list:
+    """Record every call clipper_plus makes to solve_relaxation."""
+    calls = []
+    relax = clipper_plus_module.solve_relaxation
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return relax(*args, **kwargs)
+
+    monkeypatch.setattr(clipper_plus_module, "solve_relaxation", spy)
+    return calls
+
+
+def _colour_bound_graphs():
+    """Seeded G(n, p) and consistency graphs of 100-association scenes."""
+    rng = np.random.default_rng(23)
+    for _ in range(150):
+        yield random_graph(rng, int(rng.integers(4, 40)), float(rng.uniform(0.05, 0.9)))
+    for seed in range(12):
+        for ratio in (0.5, 0.8, 0.9, 0.95):
+            sc = synthetic_scene(100, 0.2, 100, 1.0, 100, ratio, seed=seed)
+            yield build_consistency_graph(sc.cloud_a, sc.cloud_b, sc.associations, sc.epsilon)
+
+
+class TestColourBound:
+    def test_bipartite_survivors_are_certified(self, monkeypatch):
+        # K_{3,3}, sides {0,1,2} and {3,4,5}: greedy finds an edge, every
+        # vertex has core number 3 and survives, and the two sides are two
+        # colour classes, so no clique beats the edge.
+        calls = _relaxation_spy(monkeypatch)
+        g = Graph.from_edge_list(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
+        report = clipper_plus(g)
+        assert report.greedy_size == 2 and report.pruned_n == 6
+        assert report.colour_certified
+        assert not report.early_terminated and not report.relaxation_ran
+        assert calls == [] and report.relax_ms == 0.0
+        assert report.clique.size == 2
+
+    def test_odd_cycle_needs_the_relaxation(self, monkeypatch):
+        # C5: all five vertices survive greedy's 2 and need 3 colours.
+        calls = _relaxation_spy(monkeypatch)
+        g = Graph.from_edge_list(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
+        report = clipper_plus(g)
+        assert report.greedy_size == 2 and report.pruned_n == 5
+        assert not report.colour_certified and report.relaxation_ran
+        assert len(calls) == 1
+        assert report.clique.size == 2
+
+    def test_certified_only_when_greedy_is_maximum(self):
+        certified = 0
+        for g in _colour_bound_graphs():
+            report = clipper_plus(g)
+            if report.colour_certified:
+                certified += 1
+                assert report.pruned_n > 0 and not report.relaxation_ran
+                assert max_clique_exact(g).size == report.greedy_size
+        assert certified >= 10
+
+    def test_same_result_as_always_relaxing(self):
+        for g in _colour_bound_graphs():
+            report = clipper_plus(g)
+            assert (
+                report.clique.members, report.greedy_size, report.pruned_n
+            ) == always_relax_clipper_plus(g)
 
 
 class TestMaxCliqueExact:

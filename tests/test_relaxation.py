@@ -15,7 +15,7 @@ from cliquereg import (
     validate_clique,
 )
 from cliquereg import relaxation
-from cliquereg.relaxation import RelaxationDiagnostics, evaluate
+from cliquereg.relaxation import RelaxationDiagnostics, evaluate, penalized_matrix
 
 from .conftest import random_graph, solver_matrix
 from .oracles import dense_penalized_matrix, sphere_directional_derivative
@@ -51,6 +51,17 @@ class TestPenalizedMatrix:
             assert np.allclose(
                 solver_matrix(g, d), dense_penalized_matrix(g, d), rtol=0, atol=1e-12
             )
+
+    def test_written_in_place_bit_for_bit(self):
+        # One buffer reused across penalties holds exactly the bits of
+        # the allocating form: the same two operations in the same order.
+        rng = np.random.default_rng(9)
+        g = random_graph(rng, 25, 0.4)
+        mask_f = (g.adjacency_matrix() | np.eye(g.n, dtype=bool)).astype(float)
+        buf = np.empty_like(mask_f)
+        for d in (0.0, 0.37, 3.0, 17.5, 26.0):
+            assert penalized_matrix(mask_f, d, out=buf) is buf
+            assert np.array_equal(buf, mask_f * (1.0 + d) - d)
 
 
 class TestObjective:
