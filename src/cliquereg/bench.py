@@ -78,9 +78,7 @@ ALGORITHM_NAMES = tuple(_SOLVERS)
 class AlgorithmRun:
     clique: Clique
     runtime_ms: float
-    early_terminated: bool | None = None
-    colour_certified: bool | None = None
-    degraded: bool = False
+    report: ClipperPlusReport | None = None
 
 
 @dataclass(frozen=True)
@@ -169,15 +167,9 @@ def run_algorithm(
     result = solver(g, params, exact_budget)
     runtime_ms = (time.perf_counter() - start) * 1e3
     if isinstance(result, ClipperPlusReport):
-        run = AlgorithmRun(
-            clique=result.clique,
-            runtime_ms=runtime_ms,
-            early_terminated=result.early_terminated,
-            colour_certified=result.colour_certified,
-            degraded=result.degraded,
-        )
+        run = AlgorithmRun(result.clique, runtime_ms, result)
     else:
-        run = AlgorithmRun(clique=result, runtime_ms=runtime_ms)
+        run = AlgorithmRun(result, runtime_ms)
     check = validate_clique(g, run.clique.members)
     if not check.is_clique:
         raise RuntimeError(
@@ -224,7 +216,9 @@ def _bench_graph(
                 r=None if omega is None else accuracy_ratio(run.clique.size, omega),
                 runtime_ms=run.runtime_ms,
                 seed=seed,
-                early_terminated=run.early_terminated,
+                early_terminated=(
+                    None if run.report is None else run.report.early_terminated
+                ),
             )
         )
     return records

@@ -87,10 +87,6 @@ def _read_rows(path: str, what: str, form: str, parse) -> list:
     return rows
 
 
-def _yes_no(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
 def _cmd_solve(args) -> int:
     g = load_dimacs(args.graph)
     params = _load_params(args.params)
@@ -103,11 +99,8 @@ def _cmd_solve(args) -> int:
     print(f"clique size: {run.clique.size}")
     print(f"clique (1-based): {vertices}")
     print(f"solve time: {run.runtime_ms:.3f} ms")
-    if run.early_terminated is not None:
-        print(f"early termination: {_yes_no(run.early_terminated)}")
-        print(f"colour bound certified: {_yes_no(run.colour_certified)}")
-    if run.degraded:
-        print("note: relaxation failed; result comes from the greedy stage")
+    if run.report is not None:
+        print(f"stop: {run.report.stop}")
     return 0
 
 
@@ -215,14 +208,11 @@ def _cmd_register(args) -> int:
     print(f"inlier association indices: {list(result.inlier_indices)}")
     print(f"greedy clique size: {rep.greedy_size}")
     print(f"pruned graph vertices: {rep.pruned_n}")
-    print(f"early termination: {_yes_no(rep.early_terminated)}")
-    print(f"colour bound certified: {_yes_no(rep.colour_certified)}")
+    print(f"stop: {rep.stop}")
     print(
         f"solve time: core {rep.core_ms:.3f} ms, greedy {rep.greedy_ms:.3f} ms, "
         f"prune {rep.prune_ms:.3f} ms, relax {rep.relax_ms:.3f} ms"
     )
-    if rep.degraded:
-        print("note: relaxation failed; result comes from the greedy stage")
     print("rotation:")
     print(result.transform.rotation)
     print(f"translation: {result.transform.translation}")

@@ -2,16 +2,17 @@
 
 The greedy pass gives a maximal clique fast. Every vertex whose core number
 is below that size cannot belong to a strictly larger clique, so the graph
-is pruned down to the survivors. If nothing survives, the greedy clique is
-provably maximum. Otherwise the survivors are coloured once, first-fit in
-index order (the colouring kernel of the exact search): a colouring with at
+is pruned down to the survivors, which are then coloured once, first-fit in
+index order (the colouring kernel of the exact search). A colouring with at
 most as many colours as the greedy clique has members bounds every clique
-of the pruned graph by that size, so the greedy clique is again maximum and
-the relaxation is skipped. Only when the colour bound leaves room does the
-continuous relaxation search the pruned graph, seeded with the binary
-complement of the greedy clique, and the larger of the two answers wins
-(ties keep the greedy one, so skipping a relaxation that cannot win never
-changes the result).
+of the pruned graph by that size, so the greedy clique is maximum and the
+relaxation is skipped. The paper's early termination, where nothing
+survives the prune, is the trivial case of that bound: no vertex, no
+colour. Only when the bound leaves room does the continuous relaxation
+search the pruned graph, seeded with the binary complement of the greedy
+clique, and the larger of the two answers wins (ties keep the greedy one,
+so skipping a relaxation that cannot win never changes the result). The
+report's ``stop`` says which of these ended the solve.
 
 Also hosts the exact branch-and-bound solver used as ground truth in
 benchmarks and tests.
@@ -36,24 +37,28 @@ DEFAULT_EXACT_BUDGET = 20_000_000
 class ClipperPlusReport:
     """Outcome of the combined solver, with per-phase timing in ms.
 
-    ``early_terminated``: the prune left no vertex. ``colour_certified``:
-    survivors remained, but a colouring of them with at most
-    ``greedy_size`` colours proved the greedy clique maximum, so the
-    relaxation did not run. ``relaxation_ran`` is true only when it did.
+    ``stop`` says how the solve ended: ``"core bound"`` when the prune left
+    no vertex (``pruned_n == 0``); ``"colour bound"`` when a colouring of
+    the survivors with at most ``greedy_size`` colours proved the greedy
+    clique maximum; ``"relaxation"`` when the relaxation ran; ``"degraded"``
+    when it failed and the greedy clique is returned. The relaxation runs
+    only in the last two; in the bound cases ``relax_ms`` is 0.0.
     ``prune_ms`` includes the colouring.
     """
 
     clique: Clique
     greedy_size: int
     pruned_n: int
-    early_terminated: bool
-    colour_certified: bool
-    relaxation_ran: bool
-    degraded: bool
+    stop: str
     core_ms: float
     greedy_ms: float
     prune_ms: float
     relax_ms: float
+
+    # Views of ``stop`` under the names perfbench reads.
+    early_terminated = property(lambda self: self.stop == "core bound")
+    relaxation_ran = property(lambda self: self.stop in ("relaxation", "degraded"))
+    degraded = property(lambda self: self.stop == "degraded")
 
 
 def prune_by_core(
@@ -76,8 +81,8 @@ def prune_by_core(
 def clipper_plus(g: Graph, params: SolverParams | None = None) -> ClipperPlusReport:
     """Run the full pipeline on g and report the best maximal clique found.
 
-    Relaxation failures degrade gracefully to the greedy clique with the
-    ``degraded`` flag set.
+    Relaxation failures degrade gracefully to the greedy clique with
+    ``stop == "degraded"``.
     """
     if g.n == 0:
         raise InputError("clique search needs at least one vertex")
@@ -88,19 +93,20 @@ def clipper_plus(g: Graph, params: SolverParams | None = None) -> ClipperPlusRep
     greedy = greedy_maximal_clique(g, k)
     t2 = time.perf_counter()
     pruned, index_map = prune_by_core(g, k, greedy.size)
-    # With no survivor, or with survivors that greedy.size colours cover
-    # (no colour class reaches greedy.size + 1), no clique is larger than
-    # the greedy one: the greedy clique is a maximum clique.
-    colour_certified = pruned.n > 0 and not _colour_classes(
+    # When no colour class of the survivors reaches greedy.size + 1 (with
+    # no survivor there is no class at all), no clique is larger than the
+    # greedy one: the greedy clique is a maximum clique.
+    bounded = not _colour_classes(
         (1 << pruned.n) - 1, _anti_rows(pruned.rows), greedy.size + 1
     )
     t3 = time.perf_counter()
 
-    relaxation_ran = pruned.n > 0 and not colour_certified
     best = greedy
-    degraded = False
     relax_ms = 0.0
-    if relaxation_ran:
+    if bounded:
+        stop = "colour bound" if pruned.n else "core bound"
+    else:
+        stop = "relaxation"
         greedy_members = set(greedy.members)
         guess = np.array(
             [0.0 if v in greedy_members else 1.0 for v in index_map]
@@ -112,17 +118,14 @@ def clipper_plus(g: Graph, params: SolverParams | None = None) -> ClipperPlusRep
             if relaxed.size > greedy.size:
                 best = relaxed
         except SolverFailure:
-            degraded = True
+            stop = "degraded"
         relax_ms = (time.perf_counter() - t4) * 1e3
 
     return ClipperPlusReport(
         clique=best,
         greedy_size=greedy.size,
         pruned_n=pruned.n,
-        early_terminated=pruned.n == 0,
-        colour_certified=colour_certified,
-        relaxation_ran=relaxation_ran,
-        degraded=degraded,
+        stop=stop,
         core_ms=(t1 - t0) * 1e3,
         greedy_ms=(t2 - t1) * 1e3,
         prune_ms=(t3 - t2) * 1e3,

@@ -329,8 +329,13 @@ def synthetic_scene(
     """
     if n_points < 2:
         raise InputError(f"need at least 2 cloud points, got {n_points}")
-    if cube_size <= 0.0 or outlier_sphere_radius <= 0.0:
-        raise InputError("cube size and sphere radius must be positive")
+    if not (0.0 < cube_size < math.inf):
+        raise InputError(f"cube_size must be positive and finite, got {cube_size}")
+    if not (0.0 < outlier_sphere_radius < math.inf):
+        raise InputError(
+            "outlier_sphere_radius must be positive and finite, "
+            f"got {outlier_sphere_radius}"
+        )
     if n_outlier_points < 0:
         raise InputError(f"clutter count must be non-negative, got {n_outlier_points}")
     if n_associations < 1:

@@ -81,7 +81,6 @@ class RelaxationDiagnostics:
     inner_steps: int = 0
     capped_rounds: int = 0
     final_u: np.ndarray | None = None
-    final_d: float = 0.0
     final_objective: float = 0.0
 
 
@@ -241,7 +240,6 @@ def solve_relaxation(
         if binary:
             if diagnostics is not None:
                 diagnostics.final_u = u.copy()
-                diagnostics.final_d = d
                 diagnostics.final_objective = f_value
             return Clique.of(support.tolist())
 

@@ -42,8 +42,8 @@ class TestRunAlgorithm:
             assert run.runtime_ms >= 0.0
 
     def test_early_termination_only_reported_by_clipper(self, triangle_plus_edge):
-        assert run_algorithm("greedy", triangle_plus_edge).early_terminated is None
-        assert run_algorithm("clipper+", triangle_plus_edge).early_terminated is True
+        assert run_algorithm("greedy", triangle_plus_edge).report is None
+        assert run_algorithm("clipper+", triangle_plus_edge).report.stop == "core bound"
 
     def test_unknown_name(self, triangle_plus_edge):
         with pytest.raises(InputError):

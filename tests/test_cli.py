@@ -1,9 +1,13 @@
+import importlib
 import json
 
 import numpy as np
 import pytest
 
+from cliquereg import SolverFailure
 from cliquereg.cli import main
+
+clipper_plus_module = importlib.import_module("cliquereg.clipper_plus")
 
 WORKED_EXAMPLE = """\
 p edge 5 4
@@ -48,8 +52,7 @@ class TestSolve:
     def test_default_algorithm_reports_early_termination(self, graph_file, capsys):
         assert main(["solve", graph_file]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert "early termination: yes" in lines
-        assert "colour bound certified: no" in lines
+        assert "stop: core bound" in lines
 
     def test_reports_colour_bound(self, tmp_path, capsys):
         # K_{3,3}: all six vertices survive the prune, two colours cover them.
@@ -58,8 +61,23 @@ class TestSolve:
             f"e {a} {b}\n" for a in (1, 2, 3) for b in (4, 5, 6)))
         assert main(["solve", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert "early termination: no" in lines
-        assert "colour bound certified: yes" in lines
+        assert "stop: colour bound" in lines
+
+    @pytest.mark.parametrize("fails, stop", [(False, "relaxation"), (True, "degraded")])
+    def test_reports_relaxation_stops(self, tmp_path, capsys, monkeypatch, fails, stop):
+        # C5: greedy finds an edge and three colours leave room, so the
+        # relaxation runs; a failing one leaves the greedy edge.
+        if fails:
+            def explode(*args, **kwargs):
+                raise SolverFailure("forced", last_iterate=None, penalty=None)
+
+            monkeypatch.setattr(clipper_plus_module, "solve_relaxation", explode)
+        path = tmp_path / "c5.clq"
+        path.write_text("p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n")
+        assert main(["solve", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"stop: {stop}" in lines
+        assert "clique size: 2" in lines
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["solve", "/nonexistent/path.clq"]) == 1
@@ -238,7 +256,7 @@ class TestRegisterAndGenScene:
         stdout = capsys.readouterr().out
         assert "rotation error:" in stdout
         assert "greedy clique size:" in stdout
-        assert "colour bound certified: no" in stdout.splitlines()
+        assert "stop: core bound" in stdout.splitlines()
         assert "solve time: core " in stdout
         assert "planted inliers found: 20 of 20" in stdout.splitlines()
         payload = json.loads(result_path.read_text())
@@ -331,6 +349,21 @@ class TestRegisterAndGenScene:
         path.write_text("[1, 2]")
         assert main(["register", "--scenario", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen-scene", "bench-synthetic"])
+    @pytest.mark.parametrize(
+        "flag, argument", [("--cube-size", "cube_size"),
+                           ("--sphere-radius", "outlier_sphere_radius")]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_scene_size_is_input_error(
+        self, tmp_path, capsys, command, flag, argument, value
+    ):
+        assert main([command, flag, value, "--out", str(tmp_path / "o.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argument} must be positive and finite")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.json").exists()
 
     def test_gen_scene_infeasible_is_input_error(self, tmp_path, capsys):
         assert main(

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -99,6 +100,7 @@ class TestClipperPlus:
         assert report.clique.members == (1, 2, 4)
         assert report.greedy_size == 3
         assert report.pruned_n == 0
+        assert report.stop == "core bound"
         assert report.early_terminated
         assert not report.relaxation_ran
         assert not report.degraded
@@ -107,7 +109,7 @@ class TestClipperPlus:
         g = Graph.from_adjacency(~np.eye(6, dtype=bool))
         report = clipper_plus(g)
         assert report.clique.size == 6
-        assert report.early_terminated
+        assert report.stop == "core bound"
 
     def test_relaxation_improves_on_greedy(self):
         g = Graph.from_edge_list(14, GREEDY_SUBOPTIMAL_EDGES)
@@ -116,6 +118,7 @@ class TestClipperPlus:
         report = clipper_plus(g)
         assert report.greedy_size == 7
         assert report.clique.members == (3, 5, 6, 8, 10, 11, 12, 13)
+        assert report.stop == "relaxation"
         assert report.relaxation_ran
         assert not report.early_terminated
         assert not report.degraded
@@ -127,8 +130,9 @@ class TestClipperPlus:
         monkeypatch.setattr(clipper_plus_module, "solve_relaxation", explode)
         g = Graph.from_edge_list(14, GREEDY_SUBOPTIMAL_EDGES)
         report = clipper_plus(g)
-        assert report.degraded
-        assert report.relaxation_ran
+        assert report.stop == "degraded"
+        assert report.degraded and report.relaxation_ran
+        assert not report.early_terminated
         assert report.clique.size == report.greedy_size == 7
 
     def test_empty_graph_rejected(self):
@@ -196,7 +200,7 @@ class TestColourBound:
         g = Graph.from_edge_list(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
         report = clipper_plus(g)
         assert report.greedy_size == 2 and report.pruned_n == 6
-        assert report.colour_certified
+        assert report.stop == "colour bound"
         assert not report.early_terminated and not report.relaxation_ran
         assert calls == [] and report.relax_ms == 0.0
         assert report.clique.size == 2
@@ -207,19 +211,22 @@ class TestColourBound:
         g = Graph.from_edge_list(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
         report = clipper_plus(g)
         assert report.greedy_size == 2 and report.pruned_n == 5
-        assert not report.colour_certified and report.relaxation_ran
+        assert report.stop == "relaxation"
         assert len(calls) == 1
         assert report.clique.size == 2
 
     def test_certified_only_when_greedy_is_maximum(self):
-        certified = 0
+        # Both bounds: the core bound (nothing survives the prune) and the
+        # colour bound (greedy_size colours cover the survivors).
+        stops = Counter()
         for g in _colour_bound_graphs():
             report = clipper_plus(g)
-            if report.colour_certified:
-                certified += 1
-                assert report.pruned_n > 0 and not report.relaxation_ran
+            stops[report.stop] += 1
+            assert (report.stop == "core bound") == (report.pruned_n == 0)
+            if report.stop in ("core bound", "colour bound"):
+                assert report.relax_ms == 0.0 and not report.relaxation_ran
                 assert max_clique_exact(g).size == report.greedy_size
-        assert certified >= 10
+        assert stops["core bound"] >= 10 and stops["colour bound"] >= 10
 
     def test_same_result_as_always_relaxing(self):
         for g in _colour_bound_graphs():

@@ -1,6 +1,7 @@
 """Differential checks against networkx, an implementation independent of
 cliquereg, at sizes the exhaustive oracle in ``oracles.py`` cannot reach.
-Skipped when networkx is not installed; it is not a runtime dependency."""
+Skipped when networkx is not installed; it is not a runtime dependency,
+but the ``test`` extra installs it."""
 
 import itertools
 

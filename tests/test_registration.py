@@ -447,8 +447,6 @@ class TestSyntheticScene:
         with pytest.raises(InputError):
             synthetic_scene(1, 1.0, 10, 1.0, 5, 0.5, seed=0)
         with pytest.raises(InputError):
-            synthetic_scene(10, 0.0, 10, 1.0, 5, 0.5, seed=0)
-        with pytest.raises(InputError):
             synthetic_scene(10, 1.0, -1, 1.0, 5, 0.5, seed=0)
         with pytest.raises(InputError):
             synthetic_scene(10, 1.0, 10, 1.0, 5, 1.5, seed=0)
@@ -458,6 +456,16 @@ class TestSyntheticScene:
         with pytest.raises(InputError):
             # 2 points, no clutter: only 2 wrong pairs exist.
             synthetic_scene(2, 1.0, 0, 1.0, 5, 1.0, seed=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("argument", ["cube_size", "outlier_sphere_radius"])
+    def test_scene_sizes_must_be_positive_and_finite(self, argument, value):
+        kwargs = dict(n_points=10, cube_size=1.0, n_outlier_points=10,
+                      outlier_sphere_radius=1.0, n_associations=5,
+                      outlier_ratio=0.5, seed=0)
+        kwargs[argument] = value
+        with pytest.raises(InputError, match=f"^{argument} must be positive and finite"):
+            synthetic_scene(**kwargs)
 
 
 class TestScenarioSerialization:
