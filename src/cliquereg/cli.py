@@ -1,13 +1,17 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 bad input (files, flags, parameters), 2 solver
-failure (relaxation or exact-search budget), 3 registration failure.
+failure (relaxation or exact-search budget), 3 registration failure, 141
+standard output closed before everything was written (as by ``| head``;
+128 plus SIGPIPE, the status a shell reports for a program the signal
+ended).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -356,7 +360,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        # Flush here, so a closed pipe raises inside this handler.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed standard output. Point it at devnull, so the
+        # flush at interpreter shutdown finds no pipe to fail on either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,7 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InputError, SolverFailure
-from .graph import Clique, CoreNumbers, Graph, core_numbers
+from .graph import (
+    Clique,
+    CoreNumbers,
+    Graph,
+    _relabel,
+    _smallest_last_order,
+    core_numbers,
+)
 from .greedy import greedy_maximal_clique
 from .relaxation import SolverParams, solve_relaxation
 
@@ -145,14 +152,20 @@ def accuracy_ratio(found_size: int, omega: int) -> float:
 def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
     """Exact maximum clique by branch and bound.
 
-    Vertices are preordered by core number, ties broken by index, and the
-    greedy clique seeds the lower bound. Each search-tree node colours its
-    candidates one class at a time on the bitsets (BBMC, San Segundo et al.
-    2011; see ``_colour_classes``), which gives the classes of first-fit
-    colouring in index order, already sorted by colour. The search branches
-    from the highest colour down and stops once the current clique plus a
-    colour cannot beat the best clique; the best clique only grows, so the
-    classes already below that bound when colouring are not listed.
+    The greedy clique seeds the lower bound, and every vertex whose core
+    number is below its size is pruned (``prune_by_core``): a larger clique
+    lies among the survivors, and with none the greedy clique is returned.
+    The survivors are renumbered in smallest-last order (see
+    ``_smallest_last_order``), the initial ordering of BBMC (San Segundo et
+    al. 2011), so vertex ``v`` has at most its core number of neighbours
+    below it. The root loop searches each ``v`` whose core number leaves
+    room, with its lower-numbered neighbours as candidates. Each search-tree
+    node colours its candidates one class at a time on the bitsets (BBMC;
+    see ``_colour_classes``), which gives the classes of first-fit
+    colouring in the new numbering, already sorted by colour. The search
+    branches from the highest colour down and stops once the current clique
+    plus a colour cannot beat the best clique; the best clique only grows,
+    so the classes already below that bound when colouring are not listed.
     ``budget`` caps the number of search-tree nodes; running out raises
     :class:`BudgetExceeded` so callers can fall back to the heuristics.
     The search recurses once per member of the current clique, so a clique
@@ -165,16 +178,19 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
         raise InputError(f"budget must be positive, got {budget}")
 
     k = core_numbers(g)
-    best = list(greedy_maximal_clique(g, k).members)
-    best_size = len(best)
-    rows = g.rows
+    greedy = greedy_maximal_clique(g, k)
+    pruned, index_map = prune_by_core(g, k, greedy.size)
+    if pruned.n == 0:
+        return greedy
+    order = _smallest_last_order(pruned)
+    h = _relabel(pruned, order)
+    original = [index_map[u] for u in order]  # vertex of g for each of h
+    core = [k.values[u] for u in original]
+    rows = h.rows
     anti = _anti_rows(rows)
 
-    # Ascending core number, ties broken by index; searching it in reverse
-    # keeps candidate sets small (each vertex is combined only with the
-    # vertices after it).
-    peel = sorted(range(g.n), key=lambda v: (k.values[v], v))
-
+    best: list[int] = []  # vertices of h; empty while greedy is the best
+    best_size = greedy.size
     nodes_left = budget
     stack: list[int] = []
 
@@ -200,14 +216,12 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
             stack.pop()
             current ^= 1 << v
 
-    after = 0  # the vertices that follow v in the peel order
     try:
-        for v in reversed(peel):
-            if k.values[v] + 1 > best_size:
+        for v in range(h.n):
+            if core[v] + 1 > best_size:
                 stack.append(v)
-                expand(rows[v] & after)
+                expand(rows[v] & ((1 << v) - 1))
                 stack.pop()
-            after |= 1 << v
     except RecursionError:
         # The search recurses once per clique member; the unwound stack
         # still holds the members chosen when the limit was hit.
@@ -215,7 +229,7 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
             f"exact search reached Python's recursion limit at clique depth {len(stack)}"
         ) from None
 
-    return Clique.of(best)
+    return Clique.of(original[v] for v in best) if best else greedy
 
 
 def _anti_rows(rows: tuple[int, ...]) -> list[int]:

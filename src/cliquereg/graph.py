@@ -109,19 +109,14 @@ class Graph:
                 raise InputError(f"vertex {v} outside 0..{self.n - 1}")
         if len(keep) == self.n:
             return self, tuple(keep)
-        kept_rows = _unpack(self.packed[keep], self.n)
-        packed = np.packbits(kept_rows[:, keep], axis=1, bitorder="little")
-        # The subgraph keeps a copy, not packbits' own output, which is
-        # allocated among this call's temporaries; kept as is, it raised the
-        # peak RSS of the perfbench register workload by up to 2 MB.
-        return _from_packed(packed.copy(), len(keep)), tuple(keep)
+        return _relabel(self, keep), tuple(keep)
 
 
 # The largest packed graph a constructor allocates, n * ceil(n/8) bytes:
 # 1 GiB, which admits up to 92,680 vertices.
 _MAX_PACKED_BYTES = 1 << 30
 
-# Bytes of unpacked rows that core_numbers holds at once.
+# Bytes of unpacked rows that core_numbers and _relabel hold at once.
 _UNPACK_BYTES = 1 << 20
 
 
@@ -146,6 +141,49 @@ def _from_packed(packed: np.ndarray, n: int) -> Graph:
     return Graph(
         n=n, rows=rows, edge_count=sum(r.bit_count() for r in rows) // 2, packed=packed
     )
+
+
+def _relabel(g: Graph, order: Sequence[int]) -> Graph:
+    """Subgraph on the distinct vertices ``order`` (unchecked), numbered as
+    listed: vertex ``i`` of the result is ``order[i]`` of ``g``.
+
+    Rows are unpacked and their columns selected a batch at a time, at most
+    ``_UNPACK_BYTES`` of both together, so no ``n x n`` array is allocated
+    beside the result's own packed rows.
+    """
+    m = len(order)
+    idx = np.asarray(order, dtype=np.intp)
+    packed = np.empty((m, (m + 7) // 8), dtype=np.uint8)
+    batch = max(1, _UNPACK_BYTES // max(g.n + m, 1))
+    for s in range(0, m, batch):
+        rows = _unpack(g.packed[idx[s : s + batch]], g.n)
+        packed[s : s + batch] = np.packbits(rows[:, idx], axis=1, bitorder="little")
+    return _from_packed(packed, m)
+
+
+def _smallest_last_order(g: Graph) -> list[int]:
+    """The vertices in smallest-last order (Matula & Beck 1983).
+
+    Repeatedly remove a vertex of least degree among those left, the lowest
+    index on ties, and list the vertices in reverse removal order. Each
+    vertex then has at most its core number of neighbours listed before it,
+    and the largest degree at removal so far is the removed vertex's core
+    number. One packed row is unpacked per removal, so beside the graph the
+    memory is O(n); the work is O(n^2).
+    """
+    n = g.n
+    degree = np.fromiter((r.bit_count() for r in g.rows), dtype=np.int64, count=n)
+    # A removed vertex's degree: still above every live degree after the at
+    # most n - 1 decrements that follow.
+    removed = np.iinfo(np.int64).max
+    order = []
+    for _ in range(n):
+        v = int(degree.argmin())
+        order.append(v)
+        degree -= np.unpackbits(g.packed[v], count=n, bitorder="little")
+        degree[v] = removed
+    order.reverse()
+    return order
 
 
 def _unpack(packed: np.ndarray, n: int) -> np.ndarray:

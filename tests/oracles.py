@@ -3,11 +3,12 @@
 These deliberately avoid the library's algorithms and data paths: core
 numbers by literal peeling, maximum cliques by exhaustive subset
 enumeration, the penalized matrix entry by entry, derivatives by
-central differences on the sphere. Four are earlier forms of library
+central differences on the sphere. Four are plainer forms of library
 code kept as references it must match exactly: the bucket-queue core
 numbers, the broadcast distance mismatch, the candidate-list greedy and
-the first-fit exact search. One more, CLIPPER+ without its colour bound,
-pins that skipping a relaxation the bound proves useless changes no result.
+the exact search with first-fit colouring and its own prune,
+smallest-last order and renumbering. One more, CLIPPER+ without its
+colour bound, pins that skipping a relaxation the bound proves useless changes no result.
 """
 
 from __future__ import annotations
@@ -195,18 +196,43 @@ def first_fit_colour_order(rows: tuple[int, ...], p_mask: int) -> list[tuple[int
     return ordered
 
 
+def reference_smallest_last_order(g: Graph, vertices: list[int]) -> list[int]:
+    """``vertices`` in smallest-last order on the subgraph they induce.
+
+    Repeatedly removes the live vertex with the least ``(current degree,
+    index)``, then reverses the removal order.
+    """
+    live = set(vertices)
+    degree = {v: sum(1 for u in g.neighbors(v) if u in live) for v in live}
+    removal = []
+    while live:
+        v = min(live, key=lambda u: (degree[u], u))
+        live.discard(v)
+        removal.append(v)
+        for u in g.neighbors(v):
+            if u in live:
+                degree[u] -= 1
+    return removal[::-1]
+
+
 def reference_max_clique_exact(g: Graph) -> tuple[tuple[int, ...], int]:
     """Sorted members of the exact search's maximum clique, and its node count.
 
-    The same branch and bound as ``max_clique_exact`` (peel order, greedy
-    lower bound, branching from the highest colour down), with every
-    candidate set coloured first-fit and no budget. ``nodes`` counts the
-    calls of ``expand``, the search-tree nodes the budget caps.
+    The same branch and bound as ``max_clique_exact`` (greedy lower bound,
+    core prune, smallest-last numbering, branching from the highest colour
+    down), with every candidate set coloured first-fit and no budget.
+    ``nodes`` counts the calls of ``expand``, the search-tree nodes the
+    budget caps.
     """
     k = core_numbers(g)
     best = list(greedy_maximal_clique(g, k).members)
-    rows = g.rows
-    peel = sorted(range(g.n), key=lambda v: (k.values[v], v))
+    survivors = [v for v in range(g.n) if k.values[v] >= len(best)]
+    order = reference_smallest_last_order(g, survivors)
+    position = {v: i for i, v in enumerate(order)}
+    rows = [
+        sum(1 << position[u] for u in g.neighbors(v) if u in position)
+        for v in order
+    ]
     stack: list[int] = []
     nodes = 0
 
@@ -215,7 +241,7 @@ def reference_max_clique_exact(g: Graph) -> tuple[tuple[int, ...], int]:
         nodes += 1
         if p_mask == 0:
             if len(stack) > len(best):
-                best = stack.copy()
+                best = [order[v] for v in stack]
             return
         current = p_mask
         for v, color in reversed(first_fit_colour_order(rows, p_mask)):
@@ -226,13 +252,11 @@ def reference_max_clique_exact(g: Graph) -> tuple[tuple[int, ...], int]:
             stack.pop()
             current &= ~(1 << v)
 
-    after = 0
-    for v in reversed(peel):
-        if k.values[v] + 1 > len(best):
+    for v in range(len(order)):
+        if k.values[order[v]] + 1 > len(best):
             stack.append(v)
-            expand(rows[v] & after)
+            expand(rows[v] & ((1 << v) - 1))
             stack.pop()
-        after |= 1 << v
     return tuple(sorted(best)), nodes
 
 

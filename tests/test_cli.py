@@ -384,3 +384,32 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert "clique size: 3" in proc.stdout
+
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        # The reader takes one line and closes the pipe. The scene's inlier
+        # list alone is longer than the pipe's capacity, shrunk to one page,
+        # so the rest of the output meets a closed pipe.
+        import fcntl
+        import os
+        import subprocess
+        import sys
+
+        scene = tmp_path / "s.json"
+        assert main(
+            ["gen-scene", "--points", "1000", "--associations", "1000",
+             "--outlier-ratio", "0.0", "--seed", "11", "--out", str(scene)]
+        ) == 0
+        read_end, write_end = os.pipe()
+        fcntl.fcntl(read_end, fcntl.F_SETPIPE_SZ, 4096)
+        with os.fdopen(read_end) as stdout:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "cliquereg", "register", "--scenario", str(scene)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            os.close(write_end)
+            assert stdout.readline() == "associations: 1000\n"
+        err = proc.communicate(timeout=60)[1]
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+        assert proc.returncode == 141

@@ -268,8 +268,10 @@ class TestMaxCliqueExact:
 
     def test_colour_classes_are_first_fit_independent_sets(self, monkeypatch):
         # Each candidate set the search colours, coloured in full with the
-        # search's own anti rows: every class is an independent set, the
-        # classes are first-fit's, and the search gets those from kmin up.
+        # search's own anti rows: every class is an independent set of the
+        # renumbered graph, the classes are first-fit's in its numbering,
+        # and the search gets those from kmin up. The renumbered rows are
+        # recovered from anti, which holds neither v nor its neighbours.
         colour_classes = clipper_plus_module._colour_classes
         seen = []
 
@@ -285,13 +287,15 @@ class TestMaxCliqueExact:
             max_clique_exact(g)
             assert seen
             for p_mask, anti, kmin in seen:
+                rows = [~a ^ (1 << v) for v, a in enumerate(anti)]
+                assert all(not (r >> v) & 1 for v, r in enumerate(rows))
                 full = colour_classes(p_mask, anti, 1)
                 classes: dict[int, int] = {}
                 for v, color in full:
                     classes[color] = classes.get(color, 0) | 1 << v
                 for cmask in classes.values():
-                    assert not any(g.rows[v] & cmask for v in range(g.n) if (cmask >> v) & 1)
-                assert full == first_fit_colour_order(g.rows, p_mask)
+                    assert not any(rows[v] & cmask for v in range(len(rows)) if (cmask >> v) & 1)
+                assert full == first_fit_colour_order(rows, p_mask)
                 assert colour_classes(p_mask, anti, kmin) == [
                     (v, c) for v, c in full if c >= kmin
                 ]
@@ -299,6 +303,14 @@ class TestMaxCliqueExact:
     def test_edgeless_graph(self):
         g = Graph.from_edge_list(4, [])
         assert max_clique_exact(g).size == 1
+
+    def test_smallest_last_numbering_keeps_g125_within_budget(self):
+        # The smallest-last numbering finishes this graph in 29,557 nodes;
+        # searching in index order needs over 100,000.
+        g = random_graph(np.random.default_rng(0), 125, 0.9)
+        found = max_clique_exact(g, budget=100_000)
+        assert found.size == 34
+        assert validate_clique(g, found.members).is_maximal
 
     def test_budget_exhaustion(self):
         rng = np.random.default_rng(3)

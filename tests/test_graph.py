@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,8 +15,14 @@ from cliquereg import (
     validate_clique,
 )
 
+from cliquereg.graph import _UNPACK_BYTES, _relabel, _smallest_last_order
+
 from .conftest import assert_packed_rows_match, core_test_graphs, random_graph
-from .oracles import bucket_queue_core_numbers, naive_core_numbers
+from .oracles import (
+    bucket_queue_core_numbers,
+    naive_core_numbers,
+    reference_smallest_last_order,
+)
 
 
 def path_edges(first: int, last: int) -> list[tuple[int, int]]:
@@ -194,6 +201,74 @@ class TestCoreNumbers:
             p = float(rng.uniform(0.05, 0.95))
             g = random_graph(rng, n, p)
             assert list(core_numbers(g).values) == naive_core_numbers(g)
+
+
+def _order_test_graphs():
+    yield "empty", Graph.from_edge_list(0, [])
+    yield "edgeless", Graph.from_edge_list(5, [])
+    yield "path", Graph.from_edge_list(40, path_edges(1, 40))
+    yield from core_test_graphs()
+
+
+class TestSmallestLastOrder:
+    def test_order_is_a_degeneracy_order(self):
+        # A permutation; each vertex has at most its core number of
+        # neighbours numbered before it; and along the removal order (the
+        # reverse) the running maximum of the degrees at removal, the
+        # neighbours still numbered before, is the core number.
+        for label, g in _order_test_graphs():
+            order = _smallest_last_order(g)
+            assert sorted(order) == list(range(g.n)), label
+            core = core_numbers(g).values
+            before = 0
+            removal_degree = {}
+            for v in order:
+                removal_degree[v] = (g.rows[v] & before).bit_count()
+                assert removal_degree[v] <= core[v], label
+                before |= 1 << v
+            running = 0
+            for v in reversed(order):
+                running = max(running, removal_degree[v])
+                assert running == core[v], label
+
+    def test_matches_reference_ties_by_index(self):
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            n = int(rng.integers(1, 41))
+            g = random_graph(rng, n, float(rng.uniform(0.05, 0.95)))
+            assert _smallest_last_order(g) == reference_smallest_last_order(g, list(range(n)))
+
+
+class TestRelabel:
+    def test_round_trip_through_inverse(self):
+        rng = np.random.default_rng(4)
+        for label, g in _order_test_graphs():
+            for order in (_smallest_last_order(g), rng.permutation(g.n).tolist()):
+                inverse = [0] * g.n
+                for i, v in enumerate(order):
+                    inverse[v] = i
+                h = _relabel(g, order)
+                assert_packed_rows_match(h)
+                for i in range(min(h.n, 30)):
+                    assert h.neighbors(i) == sorted(inverse[u] for u in g.neighbors(order[i]))
+                assert _relabel(h, inverse) == g, label
+
+    def test_peak_memory_is_one_unpack_batch_beside_the_result(self):
+        # Beside the result's own rows (packed and as ints), the relabel
+        # holds at most _UNPACK_BYTES of unpacked rows; unpacking all the
+        # rows at once would take 16 MB here.
+        n = 4000
+        ends = np.random.default_rng(12).integers(1, n + 1, size=(16000, 2))
+        g = Graph.from_edge_list(n, [(i, j) for i, j in ends.tolist() if i != j])
+        order = np.random.default_rng(13).permutation(n).tolist()
+        tracemalloc.start()
+        try:
+            h = _relabel(g, order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        own = h.packed.nbytes + sys.getsizeof(h.rows) + sum(sys.getsizeof(r) for r in h.rows)
+        assert peak <= _UNPACK_BYTES + own + (64 << 10)
 
 
 class TestSparsity:
