@@ -1,18 +1,19 @@
 """Combined clique estimator: greedy seed, core pruning, then relaxation.
 
 The greedy pass gives a maximal clique fast. Every vertex whose core number
-is below that size cannot belong to a strictly larger clique, so the graph
-is pruned down to the survivors, which are then coloured once, first-fit in
-index order (the colouring kernel of the exact search). A colouring with at
+is below that size cannot belong to a strictly larger clique, so only the
+survivors, a bitmask over the graph's own vertices, can hold one. They are
+coloured once on the graph's own rows, first-fit in index order (the
+colouring kernel of the greedy and the exact search). A colouring with at
 most as many colours as the greedy clique has members bounds every clique
-of the pruned graph by that size, so the greedy clique is maximum and the
+among the survivors by that size, so the greedy clique is maximum and the
 relaxation is skipped. The paper's early termination, where nothing
 survives the prune, is the trivial case of that bound: no vertex, no
-colour. Only when the bound leaves room does the continuous relaxation
-search the pruned graph, seeded with the binary complement of the greedy
-clique, and the larger of the two answers wins (ties keep the greedy one,
-so skipping a relaxation that cannot win never changes the result). The
-report's ``stop`` says which of these ended the solve.
+colour. Only when the bound leaves room is the pruned graph built, and the
+continuous relaxation searches it, seeded with the binary complement of
+the greedy clique; the larger of the two answers wins (ties keep the
+greedy one, so skipping a relaxation that cannot win never changes the
+result). The report's ``stop`` says which of these ended the solve.
 
 Also hosts the exact branch-and-bound solver used as ground truth in
 benchmarks and tests.
@@ -30,6 +31,8 @@ from .graph import (
     Clique,
     CoreNumbers,
     Graph,
+    _anti_rows,
+    _colour_classes,
     _relabel,
     _smallest_last_order,
     core_numbers,
@@ -50,7 +53,9 @@ class ClipperPlusReport:
     clique maximum; ``"relaxation"`` when the relaxation ran; ``"degraded"``
     when it failed and the greedy clique is returned. The relaxation runs
     only in the last two; in the bound cases ``relax_ms`` is 0.0.
-    ``prune_ms`` includes the colouring.
+    ``pruned_n`` counts the survivors, the vertices with core number at
+    least ``greedy_size``. ``prune_ms`` covers the survivor mask, its
+    colouring and, when the relaxation runs, building the pruned graph.
     """
 
     clique: Clique
@@ -99,26 +104,33 @@ def clipper_plus(g: Graph, params: SolverParams | None = None) -> ClipperPlusRep
     t1 = time.perf_counter()
     greedy = greedy_maximal_clique(g, k)
     t2 = time.perf_counter()
-    pruned, index_map = prune_by_core(g, k, greedy.size)
+    # Bit v is set when vertex v survives the prune.
+    survivors = int.from_bytes(
+        np.packbits(np.array(k.values) >= greedy.size, bitorder="little").tobytes(),
+        "little",
+    )
+    pruned_n = survivors.bit_count()
     # When no colour class of the survivors reaches greedy.size + 1 (with
     # no survivor there is no class at all), no clique is larger than the
-    # greedy one: the greedy clique is a maximum clique.
+    # greedy one: the greedy clique is a maximum clique. The classes are
+    # those of the pruned graph, which keeps the survivors' order.
     bounded = not _colour_classes(
-        (1 << pruned.n) - 1, _anti_rows(pruned.rows), greedy.size + 1
+        survivors, _anti_rows(g.rows, survivors), greedy.size + 1
     )
-    t3 = time.perf_counter()
 
     best = greedy
     relax_ms = 0.0
     if bounded:
-        stop = "colour bound" if pruned.n else "core bound"
+        t3 = time.perf_counter()
+        stop = "colour bound" if pruned_n else "core bound"
     else:
         stop = "relaxation"
+        pruned, index_map = prune_by_core(g, k, greedy.size)
+        t3 = time.perf_counter()
         greedy_members = set(greedy.members)
         guess = np.array(
             [0.0 if v in greedy_members else 1.0 for v in index_map]
         )
-        t4 = time.perf_counter()
         try:
             local = solve_relaxation(pruned, guess, params)
             relaxed = Clique.of(index_map[v] for v in local.members)
@@ -126,12 +138,12 @@ def clipper_plus(g: Graph, params: SolverParams | None = None) -> ClipperPlusRep
                 best = relaxed
         except SolverFailure:
             stop = "degraded"
-        relax_ms = (time.perf_counter() - t4) * 1e3
+        relax_ms = (time.perf_counter() - t3) * 1e3
 
     return ClipperPlusReport(
         clique=best,
         greedy_size=greedy.size,
-        pruned_n=pruned.n,
+        pruned_n=pruned_n,
         stop=stop,
         core_ms=(t1 - t0) * 1e3,
         greedy_ms=(t2 - t1) * 1e3,
@@ -187,7 +199,7 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
     original = [index_map[u] for u in order]  # vertex of g for each of h
     core = [k.values[u] for u in original]
     rows = h.rows
-    anti = _anti_rows(rows)
+    anti = _anti_rows(rows, (1 << h.n) - 1)
 
     best: list[int] = []  # vertices of h; empty while greedy is the best
     best_size = greedy.size
@@ -230,35 +242,3 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
         ) from None
 
     return Clique.of(original[v] for v in best) if best else greedy
-
-
-def _anti_rows(rows: tuple[int, ...]) -> list[int]:
-    """``anti[v]``: every vertex except ``v`` and its neighbours (a
-    negative int), the mask ``_colour_classes`` keeps for a class of ``v``."""
-    return [~(row | 1 << v) for v, row in enumerate(rows)]
-
-
-def _colour_classes(
-    p_mask: int, anti: list[int], kmin: int
-) -> list[tuple[int, int]]:
-    """``(vertex, colour)`` pairs of the candidates ``p_mask``, by colour.
-
-    Colour ``c`` is the ``c``-th class built from the still-uncoloured
-    candidates: take the lowest one ``v``, keep only ``anti[v]`` (neither
-    ``v`` nor a neighbour of it) and repeat, so each class is an
-    independent set. Only pairs with colour ``>= kmin`` are listed.
-    """
-    ordered: list[tuple[int, int]] = []
-    uncolored = p_mask
-    color = 0
-    while uncolored:
-        color += 1
-        q = uncolored
-        while q:
-            low = q & -q
-            v = low.bit_length() - 1
-            uncolored ^= low
-            q &= anti[v]
-            if color >= kmin:
-                ordered.append((v, color))
-    return ordered

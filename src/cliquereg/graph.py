@@ -119,6 +119,10 @@ _MAX_PACKED_BYTES = 1 << 30
 # Bytes of unpacked rows that core_numbers and _relabel hold at once.
 _UNPACK_BYTES = 1 << 20
 
+# core_numbers' degree of a removed vertex: later rounds subtract at most
+# n - 1 < 2**17 from it, so it stays above every live degree.
+_PEELED = 1 << 30
+
 
 def _check_packed_size(n: int) -> None:
     """Raise ``InputError`` if the packed rows of an n-vertex graph would
@@ -199,6 +203,47 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _anti_rows(rows: Sequence[int], mask: int) -> list[int]:
+    """``anti[v]`` for each ``v`` of ``mask``: every vertex except ``v`` and
+    its neighbours (a negative int), the mask ``_colour_classes`` keeps for
+    a class of ``v``. Entries outside ``mask`` are 0 and must not be read,
+    so colour only subsets of ``mask`` with it."""
+    anti = [0] * len(rows)
+    for v in _bits(mask):
+        anti[v] = ~(rows[v] | 1 << v)
+    return anti
+
+
+def _colour_classes(
+    p_mask: int, anti: list[int], kmin: int
+) -> list[tuple[int, int]]:
+    """``(vertex, colour)`` pairs of the candidates ``p_mask``, by colour.
+
+    Colour ``c`` is the ``c``-th class built from the still-uncoloured
+    candidates: take the lowest one ``v``, keep only ``anti[v]`` (neither
+    ``v`` nor a neighbour of it) and repeat, so each class is an
+    independent set. Only pairs with colour ``>= kmin`` are listed, so an
+    empty list with ``kmin = s + 1`` proves that no clique inside
+    ``p_mask`` has more than ``s`` vertices: a clique takes at most one
+    vertex of each class. This is the colouring of BBMC (San Segundo et
+    al. 2011), first-fit in index order.
+    """
+    ordered: list[tuple[int, int]] = []
+    uncolored = p_mask
+    color = 0
+    while uncolored:
+        color += 1
+        q = uncolored
+        while q:
+            low = q & -q
+            v = low.bit_length() - 1
+            uncolored ^= low
+            q &= anti[v]
+            if color >= kmin:
+                ordered.append((v, color))
+    return ordered
+
+
 @dataclass(frozen=True)
 class CoreNumbers:
     """Per-vertex core numbers: ``values[v]`` is the largest k such that v
@@ -235,13 +280,15 @@ class CliqueCheck:
 def core_numbers(g: Graph) -> CoreNumbers:
     """Core numbers of every vertex by level-synchronous min-degree peeling.
 
-    Each round removes every live vertex whose degree is at most ``k`` and
-    gives it core number ``k``, then subtracts the removed rows from the
-    degrees. When a round finds nothing to remove, ``k`` rises to the
-    smallest live degree. This gives the same core numbers as the
-    one-vertex-at-a-time (Batagelj-Zaversnik) peel, but whole degree levels
-    at a time (ParK, Dasari, Desh & Zubair 2014). Every round removes at
-    least one vertex, so there are at most n rounds; a path takes n/2.
+    Each round raises ``k`` to the smallest live degree if that is larger,
+    removes every live vertex whose degree is at most ``k`` and gives it
+    core number ``k``, then subtracts the removed rows from the degrees. A
+    removed vertex's degree becomes ``_PEELED``, which stays above every
+    live degree, so no separate set of live vertices is kept. This gives
+    the same core numbers as the one-vertex-at-a-time (Batagelj-Zaversnik)
+    peel, but whole degree levels at a time (ParK, Dasari, Desh & Zubair
+    2014). Every round removes at least one vertex, so there are at most n
+    rounds; a path takes n/2.
 
     The peel reads the graph's own packed rows, ``n²/8`` bytes, and unpacks
     each exactly once, in the round that removes it, at most
@@ -252,17 +299,14 @@ def core_numbers(g: Graph) -> CoreNumbers:
     n = g.n
     degree = np.fromiter((r.bit_count() for r in g.rows), dtype=np.int32, count=n)
     core = np.zeros(n, dtype=np.int32)
-    alive = np.ones(n, dtype=bool)
     batch = max(1, _UNPACK_BYTES // max(n, 1))
     k = 0
     left = n
     while left:
-        (peel,) = np.nonzero(alive & (degree <= k))
-        if not len(peel):
-            k = int(degree[alive].min())
-            continue
+        k = max(k, int(degree.min()))
+        peel = np.flatnonzero(degree <= k)
         core[peel] = k
-        alive[peel] = False
+        degree[peel] = _PEELED
         left -= len(peel)
         for s in range(0, len(peel), batch):
             removed = _unpack(g.packed[peel[s : s + batch]], n)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import InputError
-from .graph import Clique, CoreNumbers, Graph, _bits
+from .graph import Clique, CoreNumbers, Graph, _anti_rows, _bits, _colour_classes
 
 
 def greedy_maximal_clique(g: Graph, k: CoreNumbers) -> Clique:
@@ -21,6 +21,14 @@ def greedy_maximal_clique(g: Graph, k: CoreNumbers) -> Clique:
     to everything accepted, and each core level's bitmask picks from it
     the lowest vertex still acceptable, so rejected neighbours are never
     visited.
+
+    Each time ``c_max`` rises, the vertices with core number at least
+    ``c_max`` (the only ones a larger clique can use) are coloured with
+    ``_colour_classes``. When no colour class reaches ``c_max + 1``, no
+    clique of ``g`` is larger than ``c_max``, so no later seed can replace
+    the best clique and the sweep stops there: the clique returned is the
+    one the full sweep would return. Anti rows are built once, for the
+    survivors of the first raise, which hold every later survivor set.
     """
     if g.n == 0:
         raise InputError("greedy clique search needs at least one vertex")
@@ -35,6 +43,7 @@ def greedy_maximal_clique(g: Graph, k: CoreNumbers) -> Clique:
     rows = g.rows
     best_members: tuple[int, ...] = ()
     c_max = 0
+    anti: list[int] | None = None
 
     for c_v in levels:
         for v in _bits(level_mask[c_v]):
@@ -53,5 +62,14 @@ def greedy_maximal_clique(g: Graph, k: CoreNumbers) -> Clique:
                     pick &= common
             if len(grown) > c_max:
                 best_members, c_max = tuple(grown), len(grown)
+                survivors = 0
+                for c in levels:
+                    if c < c_max:
+                        break
+                    survivors |= level_mask[c]
+                if anti is None:
+                    anti = _anti_rows(rows, survivors)
+                if not _colour_classes(survivors, anti, c_max + 1):
+                    return Clique.of(best_members)
 
     return Clique.of(best_members)

@@ -25,6 +25,7 @@ from cliquereg import (
 import importlib
 
 clipper_plus_module = importlib.import_module("cliquereg.clipper_plus")
+graph_module = importlib.import_module("cliquereg.graph")
 
 from .conftest import random_graph
 from .oracles import (
@@ -227,6 +228,39 @@ class TestColourBound:
                 assert report.relax_ms == 0.0 and not report.relaxation_ran
                 assert max_clique_exact(g).size == report.greedy_size
         assert stops["core bound"] >= 10 and stops["colour bound"] >= 10
+
+    def test_certified_solves_never_relabel(self, monkeypatch):
+        # A bound is checked on g's own rows, and pruned_n is the survivor
+        # count; the pruned graph is built only for the relaxation.
+        bound = [
+            g for g in _colour_bound_graphs()
+            if clipper_plus(g).stop in ("core bound", "colour bound")
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certified solve built the pruned graph")
+
+        monkeypatch.setattr(clipper_plus_module, "prune_by_core", refuse)
+        monkeypatch.setattr(graph_module, "_relabel", refuse)
+        for g in bound:
+            report = clipper_plus(g)
+            k = core_numbers(g)
+            assert report.pruned_n == sum(c >= report.greedy_size for c in k.values)
+        assert len(bound) >= 20
+
+    def test_relaxing_solve_prunes_once(self, monkeypatch):
+        calls = []
+        prune = clipper_plus_module.prune_by_core
+
+        def spy(*args):
+            calls.append(args)
+            return prune(*args)
+
+        monkeypatch.setattr(clipper_plus_module, "prune_by_core", spy)
+        g = Graph.from_edge_list(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
+        report = clipper_plus(g)
+        assert report.stop == "relaxation" and report.pruned_n == 5
+        assert len(calls) == 1
 
     def test_same_result_as_always_relaxing(self):
         for g in _colour_bound_graphs():

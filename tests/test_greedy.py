@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,10 +8,14 @@ from hypothesis import strategies as st
 from cliquereg import (
     Graph,
     InputError,
+    build_consistency_graph,
     core_numbers,
     greedy_maximal_clique,
+    synthetic_scene,
     validate_clique,
 )
+
+greedy_module = importlib.import_module("cliquereg.greedy")
 
 from .conftest import random_graph
 from .oracles import brute_force_max_clique, reference_greedy
@@ -92,6 +98,82 @@ class TestGreedy:
             g = random_graph(rng, n, p)
             k = core_numbers(g)
             assert greedy_maximal_clique(g, k).members == reference_greedy(g, k)
+
+
+def _scene_graph(n_assoc: int, ratio: float, seed: int) -> Graph:
+    sc = synthetic_scene(n_assoc, 0.2, n_assoc, 1.0, n_assoc, ratio, seed=seed)
+    return build_consistency_graph(sc.cloud_a, sc.cloud_b, sc.associations, sc.epsilon)
+
+
+def _planted_clique_graph(rng: np.random.Generator, n: int, p: float, size: int) -> Graph:
+    """G(n, p) with a clique on ``size`` random vertices."""
+    adj = random_graph(rng, n, p).adjacency_matrix()
+    members = rng.choice(n, size=size, replace=False)
+    adj[np.ix_(members, members)] = True
+    np.fill_diagonal(adj, False)
+    return Graph.from_adjacency(adj)
+
+
+def _colouring_spy(monkeypatch) -> list:
+    """Record the result of every colouring the greedy makes."""
+    results = []
+    colour_classes = greedy_module._colour_classes
+
+    def spy(p_mask, anti, kmin):
+        results.append(colour_classes(p_mask, anti, kmin))
+        return results[-1]
+
+    monkeypatch.setattr(greedy_module, "_colour_classes", spy)
+    return results
+
+
+class TestColourBoundStop:
+    @pytest.mark.parametrize("ratio", [0.5, 0.95, 0.99])
+    def test_matches_reference_on_consistency_graphs(self, ratio):
+        # The stop drops only seeds that cannot beat the best clique, so
+        # the clique equals that of the full sweep.
+        for seed in range(3):
+            g = _scene_graph(300, ratio, seed)
+            k = core_numbers(g)
+            assert greedy_maximal_clique(g, k).members == reference_greedy(g, k)
+
+    def test_matches_reference_where_the_stop_fires(self, monkeypatch):
+        # A planted clique well above the G(n, p) cores is all that
+        # survives its size once the greedy finds it: one colour per
+        # member and no class beyond, so the sweep stops there.
+        results = _colouring_spy(monkeypatch)
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            n = int(rng.integers(60, 200))
+            g = _planted_clique_graph(rng, n, float(rng.uniform(0.05, 0.3)), n // 8 + 12)
+            k = core_numbers(g)
+            results.clear()
+            assert greedy_maximal_clique(g, k).members == reference_greedy(g, k)
+            assert results[-1] == []
+
+    def test_ci_scene_colours_once_and_stops_early(self, monkeypatch):
+        # The 1000-association scene of the CI colour-bound step: the first
+        # seed grows the 50 planted inliers, the 512 vertices of core
+        # number >= 50 take 50 colours, and the sweep stops after that
+        # seed, where a full sweep would try every one of the 512.
+        results = _colouring_spy(monkeypatch)
+        seeds = []
+        bits = greedy_module._bits
+
+        def seed_spy(mask):
+            for v in bits(mask):
+                seeds.append(v)
+                yield v
+
+        monkeypatch.setattr(greedy_module, "_bits", seed_spy)
+        g = _scene_graph(1000, 0.95, 3)
+        k = core_numbers(g)
+        clique = greedy_maximal_clique(g, k)
+        survivors = sum(c >= clique.size for c in k.values)
+        assert (clique.size, survivors) == (50, 512)
+        assert results == [[]]
+        assert len(seeds) == 1
+        assert clique.members == reference_greedy(g, k)
 
 
 @given(st.data())
