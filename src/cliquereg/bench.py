@@ -63,7 +63,7 @@ CSV_COLUMNS = (
 # Solvers by name. Each takes the graph, the relaxation parameters and the
 # exact-search node budget, and returns a clique or a CLIPPER+ report.
 _SOLVERS: dict[str, Callable[..., Clique | ClipperPlusReport]] = {
-    "greedy": lambda g, params, budget: greedy_maximal_clique(g, core_numbers(g)),
+    "greedy": lambda g, params, budget: greedy_maximal_clique(g, core_numbers(g)).clique,
     "relax": lambda g, params, budget: solve_relaxation(
         g, uniform_initial_guess(g.n), params
     ),
@@ -85,7 +85,7 @@ class AlgorithmRun:
 class BenchRecord:
     graph_id: str
     n: int
-    sparsity: float
+    sparsity: float | None
     algo: str
     clique_size: int
     omega_gt: int | None
@@ -196,8 +196,9 @@ def _bench_graph(
 
     A run that fails (relaxation stall or exact-search budget) is warned
     about on stderr and leaves no record, so the other runs still count.
+    A one-vertex graph has no sparsity, and its cell is left empty.
     """
-    s = sparsity(g)
+    s = sparsity(g) if g.n >= 2 else None
     records = []
     for name in algorithms:
         try:

@@ -2,21 +2,22 @@
 
 The greedy pass gives a maximal clique fast. Every vertex whose core number
 is below that size cannot belong to a strictly larger clique, so only the
-survivors, a bitmask over the graph's own vertices, can hold one. They are
-coloured once on the graph's own rows, first-fit in index order (the
-colouring kernel of the greedy and the exact search). A colouring with at
-most as many colours as the greedy clique has members bounds every clique
-among the survivors by that size, so the greedy clique is maximum and the
-relaxation is skipped. The paper's early termination, where nothing
-survives the prune, is the trivial case of that bound: no vertex, no
-colour. Only when the bound leaves room is the pruned graph built, and the
-continuous relaxation searches it, seeded with the binary complement of
-the greedy clique; the larger of the two answers wins (ties keep the
-greedy one, so skipping a relaxation that cannot win never changes the
-result). The report's ``stop`` says which of these ended the solve.
+survivors, a bitmask over the graph's own vertices, can hold one. The
+greedy colours them at its last raise, first-fit in index order (the
+colouring kernel of the greedy and the exact search), and returns the mask
+with its verdict. A colouring with at most as many colours as the greedy
+clique has members bounds every clique among the survivors by that size,
+so the greedy clique is maximum and the relaxation is skipped. The paper's
+early termination, where nothing survives the prune, is the trivial case
+of that bound: no vertex, no colour. Only when the bound leaves room is
+the pruned graph built, and the continuous relaxation searches it, seeded
+with the binary complement of the greedy clique; the larger of the two
+answers wins (ties keep the greedy one, so skipping a relaxation that
+cannot win never changes the result). The report's ``stop`` says which of
+these ended the solve.
 
 Also hosts the exact branch-and-bound solver used as ground truth in
-benchmarks and tests.
+benchmarks and tests; it reuses the greedy's survivors and verdict too.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ class ClipperPlusReport:
     when it failed and the greedy clique is returned. The relaxation runs
     only in the last two; in the bound cases ``relax_ms`` is 0.0.
     ``pruned_n`` counts the survivors, the vertices with core number at
-    least ``greedy_size``. ``prune_ms`` covers the survivor mask, its
-    colouring and, when the relaxation runs, building the pruned graph.
+    least ``greedy_size``. The greedy decides the bound, so ``greedy_ms``
+    covers the survivor mask and its colouring, and ``prune_ms`` is 0.0
+    except when the relaxation runs: then it is building the pruned graph.
     """
 
     clique: Clique
@@ -102,26 +104,15 @@ def clipper_plus(g: Graph, params: SolverParams | None = None) -> ClipperPlusRep
     t0 = time.perf_counter()
     k = core_numbers(g)
     t1 = time.perf_counter()
-    greedy = greedy_maximal_clique(g, k)
+    result = greedy_maximal_clique(g, k)
     t2 = time.perf_counter()
-    # Bit v is set when vertex v survives the prune.
-    survivors = int.from_bytes(
-        np.packbits(np.array(k.values) >= greedy.size, bitorder="little").tobytes(),
-        "little",
-    )
-    pruned_n = survivors.bit_count()
-    # When no colour class of the survivors reaches greedy.size + 1 (with
-    # no survivor there is no class at all), no clique is larger than the
-    # greedy one: the greedy clique is a maximum clique. The classes are
-    # those of the pruned graph, which keeps the survivors' order.
-    bounded = not _colour_classes(
-        survivors, _anti_rows(g.rows, survivors), greedy.size + 1
-    )
+    greedy = result.clique
+    pruned_n = result.survivors.bit_count()
 
     best = greedy
     relax_ms = 0.0
-    if bounded:
-        t3 = time.perf_counter()
+    if result.certified:
+        t3 = t2
         stop = "colour bound" if pruned_n else "core bound"
     else:
         stop = "relaxation"
@@ -164,12 +155,13 @@ def accuracy_ratio(found_size: int, omega: int) -> float:
 def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
     """Exact maximum clique by branch and bound.
 
-    The greedy clique seeds the lower bound, and every vertex whose core
-    number is below its size is pruned (``prune_by_core``): a larger clique
-    lies among the survivors, and with none the greedy clique is returned.
-    The survivors are renumbered in smallest-last order (see
-    ``_smallest_last_order``), the initial ordering of BBMC (San Segundo et
-    al. 2011), so vertex ``v`` has at most its core number of neighbours
+    The greedy clique seeds the lower bound. When the greedy's colour bound
+    has certified it (see ``GreedyResult``), it is returned at once, with
+    no search-tree node. Otherwise a larger clique lies among the greedy's
+    survivors, the vertices whose core number is at least its size. They
+    are renumbered in smallest-last order (see ``_smallest_last_order``),
+    the initial ordering of BBMC (San Segundo et al. 2011), by one relabel
+    of ``g``, so vertex ``v`` has at most its core number of neighbours
     below it. The root loop searches each ``v`` whose core number leaves
     room, with its lower-numbered neighbours as candidates. Each search-tree
     node colours its candidates one class at a time on the bitsets (BBMC;
@@ -190,14 +182,13 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
         raise InputError(f"budget must be positive, got {budget}")
 
     k = core_numbers(g)
-    greedy = greedy_maximal_clique(g, k)
-    pruned, index_map = prune_by_core(g, k, greedy.size)
-    if pruned.n == 0:
+    result = greedy_maximal_clique(g, k)
+    greedy = result.clique
+    if result.certified:
         return greedy
-    order = _smallest_last_order(pruned)
-    h = _relabel(pruned, order)
-    original = [index_map[u] for u in order]  # vertex of g for each of h
-    core = [k.values[u] for u in original]
+    order = _smallest_last_order(g, result.survivors)
+    h = _relabel(g, order)
+    core = [k.values[u] for u in order]
     rows = h.rows
     anti = _anti_rows(rows, (1 << h.n) - 1)
 
@@ -241,4 +232,4 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
             f"exact search reached Python's recursion limit at clique depth {len(stack)}"
         ) from None
 
-    return Clique.of(original[v] for v in best) if best else greedy
+    return Clique.of(order[v] for v in best) if best else greedy

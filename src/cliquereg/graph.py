@@ -165,23 +165,32 @@ def _relabel(g: Graph, order: Sequence[int]) -> Graph:
     return _from_packed(packed, m)
 
 
-def _smallest_last_order(g: Graph) -> list[int]:
-    """The vertices in smallest-last order (Matula & Beck 1983).
+def _smallest_last_order(g: Graph, mask: int) -> list[int]:
+    """The vertices of ``mask`` in smallest-last order (Matula & Beck 1983)
+    on the subgraph they induce.
 
     Repeatedly remove a vertex of least degree among those left, the lowest
-    index on ties, and list the vertices in reverse removal order. Each
-    vertex then has at most its core number of neighbours listed before it,
-    and the largest degree at removal so far is the removed vertex's core
-    number. One packed row is unpacked per removal, so beside the graph the
-    memory is O(n); the work is O(n^2).
+    index on ties, and list the vertices in reverse removal order. Degrees
+    count only neighbours in ``mask``, and a vertex outside it starts
+    removed, so the order is the one the induced subgraph, numbered in
+    index order, would give. Each vertex then has at most its core number
+    in that subgraph of neighbours listed before it, and the largest degree
+    at removal so far is the removed vertex's core number there. One packed
+    row is unpacked per removal, so beside the graph the memory is O(n);
+    the work is O(n) per vertex of ``mask``.
     """
     n = g.n
-    degree = np.fromiter((r.bit_count() for r in g.rows), dtype=np.int64, count=n)
     # A removed vertex's degree: still above every live degree after the at
     # most n - 1 decrements that follow.
     removed = np.iinfo(np.int64).max
+    degree = np.fromiter(
+        ((r & mask).bit_count() if (mask >> v) & 1 else removed
+         for v, r in enumerate(g.rows)),
+        dtype=np.int64,
+        count=n,
+    )
     order = []
-    for _ in range(n):
+    for _ in range(mask.bit_count()):
         v = int(degree.argmin())
         order.append(v)
         degree -= np.unpackbits(g.packed[v], count=n, bitorder="little")

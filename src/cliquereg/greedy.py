@@ -2,11 +2,29 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import InputError
 from .graph import Clique, CoreNumbers, Graph, _anti_rows, _bits, _colour_classes
 
 
-def greedy_maximal_clique(g: Graph, k: CoreNumbers) -> Clique:
+@dataclass(frozen=True)
+class GreedyResult:
+    """The greedy clique and the colour bound decided at its last raise.
+
+    ``survivors`` is the bitmask of the vertices with core number at least
+    ``clique.size``, the only ones a larger clique can use. ``certified``
+    is true when their first-fit colouring (``_colour_classes``) had no
+    class reaching ``clique.size + 1``, which proves the clique maximum; an
+    empty ``survivors`` has no class and is always certified.
+    """
+
+    clique: Clique
+    survivors: int
+    certified: bool
+
+
+def greedy_maximal_clique(g: Graph, k: CoreNumbers) -> GreedyResult:
     """Grow a maximal clique around high-core vertices.
 
     Vertices are visited in descending core-number order (ties broken by
@@ -29,6 +47,8 @@ def greedy_maximal_clique(g: Graph, k: CoreNumbers) -> Clique:
     the best clique and the sweep stops there: the clique returned is the
     one the full sweep would return. Anti rows are built once, for the
     survivors of the first raise, which hold every later survivor set.
+    The last raise's survivors and verdict are returned with the clique
+    (see :class:`GreedyResult`), so no caller colours them again.
     """
     if g.n == 0:
         raise InputError("greedy clique search needs at least one vertex")
@@ -43,12 +63,13 @@ def greedy_maximal_clique(g: Graph, k: CoreNumbers) -> Clique:
     rows = g.rows
     best_members: tuple[int, ...] = ()
     c_max = 0
+    survivors = 0
     anti: list[int] | None = None
 
     for c_v in levels:
         for v in _bits(level_mask[c_v]):
             if c_v < c_max:
-                return Clique.of(best_members)
+                return GreedyResult(Clique.of(best_members), survivors, False)
             grown = [v]
             common = rows[v]
             for c in levels:
@@ -70,6 +91,6 @@ def greedy_maximal_clique(g: Graph, k: CoreNumbers) -> Clique:
                 if anti is None:
                     anti = _anti_rows(rows, survivors)
                 if not _colour_classes(survivors, anti, c_max + 1):
-                    return Clique.of(best_members)
+                    return GreedyResult(Clique.of(best_members), survivors, True)
 
-    return Clique.of(best_members)
+    return GreedyResult(Clique.of(best_members), survivors, False)

@@ -468,7 +468,7 @@ def load_scenario(path: str | Path) -> Scenario:
             f"not a {SCENARIO_FORMAT} file: {payload.get('format')!r}"
         )
     try:
-        return Scenario(
+        scenario = Scenario(
             cloud_a=PointCloud(np.array(payload["cloud_a"], dtype=float)),
             cloud_b=PointCloud(np.array(payload["cloud_b"], dtype=float)),
             associations=tuple(
@@ -487,3 +487,9 @@ def load_scenario(path: str | Path) -> Scenario:
         if isinstance(exc, InputError):
             raise
         raise InputError(f"scenario file is missing or corrupt: {exc}") from exc
+    if len(scenario.inlier_mask) != len(scenario.associations):
+        raise InputError(
+            f"scenario has {len(scenario.inlier_mask)} inlier flags for "
+            f"{len(scenario.associations)} associations"
+        )
+    return scenario

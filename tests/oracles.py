@@ -6,8 +6,8 @@ enumeration, the penalized matrix entry by entry, derivatives by
 central differences on the sphere. Four are plainer forms of library
 code kept as references it must match exactly: the bucket-queue core
 numbers, the broadcast distance mismatch, the candidate-list greedy and
-the exact search with first-fit colouring and its own prune,
-smallest-last order and renumbering. One more, CLIPPER+ without its
+the exact search with first-fit colouring and its own prune, colour
+bound, smallest-last order and renumbering. One more, CLIPPER+ without its
 colour bound, pins that skipping a relaxation the bound proves useless changes no result.
 """
 
@@ -222,11 +222,15 @@ def reference_max_clique_exact(g: Graph) -> tuple[tuple[int, ...], int]:
     core prune, smallest-last numbering, branching from the highest colour
     down), with every candidate set coloured first-fit and no budget.
     ``nodes`` counts the calls of ``expand``, the search-tree nodes the
-    budget caps.
+    budget caps. When a first-fit colouring of the survivors has no class
+    above the greedy size, the greedy clique is returned with 0 nodes.
     """
     k = core_numbers(g)
-    best = list(greedy_maximal_clique(g, k).members)
+    best = list(greedy_maximal_clique(g, k).clique.members)
     survivors = [v for v in range(g.n) if k.values[v] >= len(best)]
+    colours = first_fit_colour_order(g.rows, sum(1 << v for v in survivors))
+    if all(c <= len(best) for _, c in colours):
+        return tuple(best), 0
     order = reference_smallest_last_order(g, survivors)
     position = {v: i for i, v in enumerate(order)}
     rows = [
@@ -266,7 +270,7 @@ def always_relax_clipper_plus(g: Graph) -> tuple[tuple[int, ...], int, int]:
     seeded with the complement of the greedy clique, and wins only when
     strictly larger; a failed relaxation keeps the greedy clique."""
     k = core_numbers(g)
-    greedy = greedy_maximal_clique(g, k)
+    greedy = greedy_maximal_clique(g, k).clique
     pruned, index_map = prune_by_core(g, k, greedy.size)
     best = greedy.members
     if pruned.n > 0:

@@ -59,7 +59,7 @@ def test_criterion_01_worked_example_exactness():
     expected = (1, 2, 4)  # vertices 2, 3, 5 in 1-based labels
 
     k = core_numbers(g)
-    assert greedy_maximal_clique(g, k).members == expected
+    assert greedy_maximal_clique(g, k).clique.members == expected
     assert solve_relaxation(g, uniform_initial_guess(5)).members == expected
     assert clipper_plus(g).clique.members == expected
     assert max_clique_exact(g).members == expected
@@ -103,7 +103,7 @@ def test_criterion_03_pruning_soundness():
         p = probabilities[i % 3]
         g = random_graph(rng, n, p)
         k = core_numbers(g)
-        greedy = greedy_maximal_clique(g, k)
+        greedy = greedy_maximal_clique(g, k).clique
         omega = max_clique_exact(g).size
         pruned, _ = prune_by_core(g, k, greedy.size)
         best = greedy.size

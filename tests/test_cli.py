@@ -197,6 +197,19 @@ class TestBenchDimacs:
     def test_algo_required(self, graph_file, tmp_path, capsys):
         assert main(["bench-dimacs", graph_file, "--out", str(tmp_path / "o.csv")]) == 1
 
+    def test_one_vertex_graph_has_an_empty_sparsity_cell(self, graph_file, tmp_path):
+        one = tmp_path / "one.clq"
+        one.write_text("p edge 1 0\n")
+        out = tmp_path / "records.csv"
+        assert main(
+            ["bench-dimacs", graph_file, str(one), "--algo", "clipper+", "--out", str(out)]
+        ) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[:5] for row in rows] == [
+            ["example", "5", "0.6", "clipper+", "3"],
+            ["one", "1", "", "clipper+", "1"],
+        ]
+
 
 class TestBenchSynthetic:
     def test_small_sweep(self, tmp_path, capsys):
@@ -343,6 +356,21 @@ class TestRegisterAndGenScene:
              "--associations", str(assoc), "--epsilon", "0.5"]
         ) == 1
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [10, 150])
+    def test_inlier_mask_of_the_wrong_length_is_input_error(self, tmp_path, capsys, flags):
+        scene_path = tmp_path / "scene.json"
+        assert main(
+            ["gen-scene", "--points", "200", "--clutter", "100", "--associations", "100",
+             "--outlier-ratio", "0.5", "--seed", "4", "--out", str(scene_path)]
+        ) == 0
+        payload = json.loads(scene_path.read_text())
+        payload["inlier_mask"] = [True] * flags
+        scene_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["register", "--scenario", str(scene_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{flags} inlier flags for 100" in err
 
     def test_scenario_not_an_object_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "list.json"

@@ -87,7 +87,7 @@ class TestPruneByCore:
             p = float(rng.uniform(0.1, 0.9))
             g = random_graph(rng, n, p)
             k = core_numbers(g)
-            greedy = greedy_maximal_clique(g, k)
+            greedy = greedy_maximal_clique(g, k).clique
             pruned, _ = prune_by_core(g, k, greedy.size)
             best = greedy.size
             if pruned.n > 0:
@@ -115,7 +115,7 @@ class TestClipperPlus:
     def test_relaxation_improves_on_greedy(self):
         g = Graph.from_edge_list(14, GREEDY_SUBOPTIMAL_EDGES)
         k = core_numbers(g)
-        assert greedy_maximal_clique(g, k).size == 7
+        assert greedy_maximal_clique(g, k).clique.size == 7
         report = clipper_plus(g)
         assert report.greedy_size == 7
         assert report.clique.members == (3, 5, 6, 8, 10, 11, 12, 13)
@@ -153,7 +153,7 @@ class TestClipperPlus:
             p = float(rng.uniform(0.1, 0.9))
             g = random_graph(rng, n, p)
             k = core_numbers(g)
-            greedy = greedy_maximal_clique(g, k)
+            greedy = greedy_maximal_clique(g, k).clique
             report = clipper_plus(g)
             assert report.clique.size >= greedy.size
             check = validate_clique(g, report.clique.members)
@@ -192,7 +192,48 @@ def _colour_bound_graphs():
             yield build_consistency_graph(sc.cloud_a, sc.cloud_b, sc.associations, sc.epsilon)
 
 
+def _register_graphs():
+    """Consistency graphs of seeded 1000-association scenes, the size of
+    the benchmark's registration scenes."""
+    for seed in range(2):
+        for ratio in (0.5, 0.9, 0.95):
+            sc = synthetic_scene(1000, 0.2, 1000, 1.0, 1000, ratio, seed=seed)
+            yield build_consistency_graph(sc.cloud_a, sc.cloud_b, sc.associations, sc.epsilon)
+
+
 class TestColourBound:
+    def test_greedy_result_matches_a_first_fit_colouring(self):
+        # The survivors are core >= clique size, and certified says that a
+        # first-fit colouring of them has no class above the clique size.
+        certified = Counter()
+        for g in (*_colour_bound_graphs(), *_register_graphs()):
+            k = core_numbers(g)
+            result = greedy_maximal_clique(g, k)
+            size = result.clique.size
+            survivors = sum(1 << v for v, c in enumerate(k.values) if c >= size)
+            colours = first_fit_colour_order(g.rows, survivors)
+            assert result.survivors == survivors
+            assert result.certified == all(c <= size for _, c in colours)
+            certified[result.certified] += 1
+        assert certified[True] >= 20 and certified[False] >= 20
+
+    def test_clipper_plus_never_colours(self, monkeypatch):
+        # The greedy decides the bound; clipper_plus only reads it.
+        def outcomes():
+            return [
+                (r.clique, r.greedy_size, r.pruned_n, r.stop)
+                for r in map(clipper_plus, _colour_bound_graphs())
+            ]
+
+        expected = outcomes()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("clipper_plus coloured the survivors again")
+
+        monkeypatch.setattr(clipper_plus_module, "_colour_classes", refuse)
+        monkeypatch.setattr(clipper_plus_module, "_anti_rows", refuse)
+        assert outcomes() == expected
+
     def test_bipartite_survivors_are_certified(self, monkeypatch):
         # K_{3,3}, sides {0,1,2} and {3,4,5}: greedy finds an edge, every
         # vertex has core number 3 and survives, and the two sides are two
@@ -338,6 +379,26 @@ class TestMaxCliqueExact:
         g = Graph.from_edge_list(4, [])
         assert max_clique_exact(g).size == 1
 
+    def test_certified_graph_returns_the_greedy_clique_unsearched(self, monkeypatch):
+        # A clique the greedy's colour bound certifies needs no order, no
+        # relabelled graph and no search-tree node.
+        certified = []
+        for g in _colour_bound_graphs():
+            result = greedy_maximal_clique(g, core_numbers(g))
+            if result.certified:
+                certified.append((g, result.clique))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certified exact search renumbered the graph")
+
+        monkeypatch.setattr(clipper_plus_module, "_smallest_last_order", refuse)
+        monkeypatch.setattr(clipper_plus_module, "_relabel", refuse)
+        monkeypatch.setattr(graph_module, "_relabel", refuse)
+        monkeypatch.setattr(clipper_plus_module, "prune_by_core", refuse)
+        for g, clique in certified:
+            assert max_clique_exact(g, budget=1) == clique
+        assert len(certified) >= 20
+
     def test_smallest_last_numbering_keeps_g125_within_budget(self):
         # The smallest-last numbering finishes this graph in 29,557 nodes;
         # searching in index order needs over 100,000.
@@ -356,7 +417,7 @@ class TestMaxCliqueExact:
         # Greedy finds 16 of omega = 19, so the search must recurse to depth
         # 19; a limit 12 levels above the caller's depth stops it first.
         g = random_graph(np.random.default_rng(8), 80, 0.8)
-        assert greedy_maximal_clique(g, core_numbers(g)).size < 19
+        assert greedy_maximal_clique(g, core_numbers(g)).clique.size < 19
 
         def headroom(levels=0):
             try:

@@ -217,7 +217,7 @@ class TestSmallestLastOrder:
         # reverse) the running maximum of the degrees at removal, the
         # neighbours still numbered before, is the core number.
         for label, g in _order_test_graphs():
-            order = _smallest_last_order(g)
+            order = _smallest_last_order(g, (1 << g.n) - 1)
             assert sorted(order) == list(range(g.n)), label
             core = core_numbers(g).values
             before = 0
@@ -236,14 +236,30 @@ class TestSmallestLastOrder:
         for _ in range(100):
             n = int(rng.integers(1, 41))
             g = random_graph(rng, n, float(rng.uniform(0.05, 0.95)))
-            assert _smallest_last_order(g) == reference_smallest_last_order(g, list(range(n)))
+            assert _smallest_last_order(g, (1 << n) - 1) == reference_smallest_last_order(
+                g, list(range(n))
+            )
+
+    def test_mask_orders_the_induced_subgraph(self):
+        # Only the vertices of the mask are listed, in the order the
+        # subgraph they induce gives, ties by index, as if it were built.
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            n = int(rng.integers(1, 41))
+            g = random_graph(rng, n, float(rng.uniform(0.05, 0.95)))
+            keep = [v for v in range(n) if rng.random() < 0.6]
+            mask = sum(1 << v for v in keep)
+            assert _smallest_last_order(g, mask) == reference_smallest_last_order(g, keep)
+            h, index_map = g.induced_subgraph(keep)
+            local = _smallest_last_order(h, (1 << h.n) - 1)
+            assert _smallest_last_order(g, mask) == [index_map[v] for v in local]
 
 
 class TestRelabel:
     def test_round_trip_through_inverse(self):
         rng = np.random.default_rng(4)
         for label, g in _order_test_graphs():
-            for order in (_smallest_last_order(g), rng.permutation(g.n).tolist()):
+            for order in (_smallest_last_order(g, (1 << g.n) - 1), rng.permutation(g.n).tolist()):
                 inverse = [0] * g.n
                 for i, v in enumerate(order):
                     inverse[v] = i

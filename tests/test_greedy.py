@@ -29,17 +29,17 @@ def complete_graph(n: int) -> Graph:
 
 class TestGreedy:
     def test_worked_example_finds_triangle(self, triangle_plus_edge):
-        res = greedy_maximal_clique(triangle_plus_edge, core_numbers(triangle_plus_edge))
+        res = greedy_maximal_clique(triangle_plus_edge, core_numbers(triangle_plus_edge)).clique
         assert res.members == (1, 2, 4)
 
     def test_complete_graph_returns_everything(self):
         g = complete_graph(6)
-        res = greedy_maximal_clique(g, core_numbers(g))
+        res = greedy_maximal_clique(g, core_numbers(g)).clique
         assert res.members == (0, 1, 2, 3, 4, 5)
 
     def test_edgeless_graph_returns_single_vertex(self):
         g = Graph.from_edge_list(4, [])
-        res = greedy_maximal_clique(g, core_numbers(g))
+        res = greedy_maximal_clique(g, core_numbers(g)).clique
         assert res.size == 1
 
     def test_empty_graph_rejected(self):
@@ -56,9 +56,9 @@ class TestGreedy:
         rng = np.random.default_rng(3)
         g = random_graph(rng, 40, 0.4)
         k = core_numbers(g)
-        first = greedy_maximal_clique(g, k).members
+        first = greedy_maximal_clique(g, k).clique.members
         for _ in range(5):
-            assert greedy_maximal_clique(g, k).members == first
+            assert greedy_maximal_clique(g, k).clique.members == first
 
     def test_against_exhaustive_oracle_on_200_random_graphs(self):
         rng = np.random.default_rng(11)
@@ -67,7 +67,7 @@ class TestGreedy:
             p = float(rng.uniform(0.1, 0.9))
             g = random_graph(rng, n, p)
             k = core_numbers(g)
-            found = greedy_maximal_clique(g, k)
+            found = greedy_maximal_clique(g, k).clique
             check = validate_clique(g, found.members)
             assert check.is_clique and check.is_maximal
             omega, _ = brute_force_max_clique(g)
@@ -84,7 +84,7 @@ class TestGreedy:
         g = Graph.from_edge_list(7, [(i + 1, j + 1) for i, j in edges])
         k = core_numbers(g)
         assert k.values == (3, 4, 4, 4, 4, 4, 4)
-        assert greedy_maximal_clique(g, k).members == (0, 3, 4, 6)
+        assert greedy_maximal_clique(g, k).clique.members == (0, 3, 4, 6)
         assert reference_greedy(g, k) == (0, 3, 4, 6)
 
     def test_matches_candidate_list_reference_on_seeded_graphs(self):
@@ -97,7 +97,7 @@ class TestGreedy:
             p = float(rng.uniform(0.05, 0.95))
             g = random_graph(rng, n, p)
             k = core_numbers(g)
-            assert greedy_maximal_clique(g, k).members == reference_greedy(g, k)
+            assert greedy_maximal_clique(g, k).clique.members == reference_greedy(g, k)
 
 
 def _scene_graph(n_assoc: int, ratio: float, seed: int) -> Graph:
@@ -135,7 +135,7 @@ class TestColourBoundStop:
         for seed in range(3):
             g = _scene_graph(300, ratio, seed)
             k = core_numbers(g)
-            assert greedy_maximal_clique(g, k).members == reference_greedy(g, k)
+            assert greedy_maximal_clique(g, k).clique.members == reference_greedy(g, k)
 
     def test_matches_reference_where_the_stop_fires(self, monkeypatch):
         # A planted clique well above the G(n, p) cores is all that
@@ -148,7 +148,7 @@ class TestColourBoundStop:
             g = _planted_clique_graph(rng, n, float(rng.uniform(0.05, 0.3)), n // 8 + 12)
             k = core_numbers(g)
             results.clear()
-            assert greedy_maximal_clique(g, k).members == reference_greedy(g, k)
+            assert greedy_maximal_clique(g, k).clique.members == reference_greedy(g, k)
             assert results[-1] == []
 
     def test_ci_scene_colours_once_and_stops_early(self, monkeypatch):
@@ -168,7 +168,7 @@ class TestColourBoundStop:
         monkeypatch.setattr(greedy_module, "_bits", seed_spy)
         g = _scene_graph(1000, 0.95, 3)
         k = core_numbers(g)
-        clique = greedy_maximal_clique(g, k)
+        clique = greedy_maximal_clique(g, k).clique
         survivors = sum(c >= clique.size for c in k.values)
         assert (clique.size, survivors) == (50, 512)
         assert results == [[]]
@@ -183,7 +183,7 @@ def test_greedy_matches_candidate_list_reference(data):
     seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
     g = random_graph(np.random.default_rng(seed), n, p)
     k = core_numbers(g)
-    assert greedy_maximal_clique(g, k).members == reference_greedy(g, k)
+    assert greedy_maximal_clique(g, k).clique.members == reference_greedy(g, k)
 
 
 @given(st.data())
@@ -192,6 +192,6 @@ def test_greedy_always_returns_maximal_clique(data):
     p = data.draw(st.floats(min_value=0.0, max_value=1.0))
     seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
     g = random_graph(np.random.default_rng(seed), n, p)
-    res = greedy_maximal_clique(g, core_numbers(g))
+    res = greedy_maximal_clique(g, core_numbers(g)).clique
     check = validate_clique(g, res.members)
     assert check.is_clique and check.is_maximal

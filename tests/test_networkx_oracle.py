@@ -49,6 +49,6 @@ def test_core_numbers_match_networkx():
 def test_greedy_clique_is_maximal_per_networkx():
     # find_cliques lists exactly the maximal cliques.
     for g in seeded_graphs(40, n_range=(20, 60)):
-        members = greedy_maximal_clique(g, core_numbers(g)).members
+        members = greedy_maximal_clique(g, core_numbers(g)).clique.members
         maximal = {tuple(sorted(c)) for c in nx.find_cliques(to_networkx(g))}
         assert members in maximal
