@@ -127,6 +127,10 @@ class SweepConfig:
             )
         if self.trials < 1:
             raise InputError(f"need at least one trial, got {self.trials}")
+        if self.n_associations < 2:
+            raise InputError(
+                f"need at least 2 associations per scene, got {self.n_associations}"
+            )
         for name in self.algorithms:
             if name not in ALGORITHM_NAMES:
                 raise InputError(

@@ -6,6 +6,11 @@ distances they imply agree within a threshold and they do not reuse an
 endpoint. Rigid-motion inliers are mutually consistent, so they form a
 clique, and the largest clique is the standard robust inlier hypothesis.
 The estimated clique feeds a least-squares rigid transform fit.
+
+This is the one module that uses scipy, in two functions:
+``_distance_mismatch`` (``cdist``) and ``mean_nearest_neighbor_distance``
+(``cKDTree``). Each imports it when called, so ``import cliquereg`` and the
+graph solvers never load scipy.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .clipper_plus import ClipperPlusReport, clipper_plus
 from .errors import InputError, RegistrationError, read_json_object
@@ -138,7 +141,13 @@ def _distance_mismatch(
     block's bytes equal that form's slice without allocating it. The
     squares of ``a - b`` and ``b - a`` are equal, so swapping the two sets
     gives the transpose bit for bit.
+
+    ``cdist`` is imported here, not at module level, so only registration
+    loads scipy; after the first call the import is a ``sys.modules``
+    lookup of about 1 µs.
     """
+    from scipy.spatial.distance import cdist
+
     mismatch = cdist(pa, qa)
     mismatch -= cdist(pb, qb)
     return np.abs(mismatch, out=mismatch)
@@ -278,6 +287,8 @@ def mean_nearest_neighbor_distance(points: np.ndarray) -> float:
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] < 2:
         raise InputError("need at least 2 points for nearest-neighbour spacing")
+    from scipy.spatial import cKDTree
+
     dists, _ = cKDTree(pts).query(pts, k=2)
     return float(dists[:, 1].mean())
 

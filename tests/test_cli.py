@@ -230,6 +230,17 @@ class TestBenchSynthetic:
              "--out", str(tmp_path / "o.csv")]
         ) == 1
 
+    def test_one_association_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(
+            ["bench-synthetic", "--outlier-start", "0", "--outlier-stop", "0",
+             "--trials", "1", "--associations", "1", "--points", "5",
+             "--clutter", "5", "--out", str(out)]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: need at least 2 associations per scene, got 1")
+        assert not out.exists()
+
 
 def _raw_files(tmp_path):
     """Cloud A, cloud B (the same ten points) and the identity pairs."""
