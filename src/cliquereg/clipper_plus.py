@@ -3,18 +3,18 @@
 The greedy pass gives a maximal clique fast. Every vertex whose core number
 is below that size cannot belong to a strictly larger clique, so only the
 survivors, a bitmask over the graph's own vertices, can hold one. The
-greedy colours them at its last raise, first-fit in index order (the
-colouring kernel of the greedy and the exact search), and returns the mask
-with its verdict. A colouring with at most as many colours as the greedy
-clique has members bounds every clique among the survivors by that size,
-so the greedy clique is maximum and the relaxation is skipped. The paper's
-early termination, where nothing survives the prune, is the trivial case
-of that bound: no vertex, no colour. Only when the bound leaves room is
-the pruned graph built, and the continuous relaxation searches it, seeded
-with the binary complement of the greedy clique; the larger of the two
-answers wins (ties keep the greedy one, so skipping a relaxation that
-cannot win never changes the result). The report's ``stop`` says which of
-these ended the solve.
+greedy colours them at its last raise, first-fit in index order, only far
+enough to tell whether its clique size in colours suffices, and returns
+the mask with that verdict. A colouring with at most as many colours as
+the greedy clique has members bounds every clique among the survivors by
+that size, so the greedy clique is maximum and the relaxation is skipped.
+The paper's early termination, where nothing survives the prune, is the
+trivial case of that bound: no vertex, no colour. Only when the bound
+leaves room is the pruned graph built, and the continuous relaxation
+searches it, seeded with the binary complement of the greedy clique; the
+larger of the two answers wins (ties keep the greedy one, so skipping a
+relaxation that cannot win never changes the result). The report's
+``stop`` says which of these ended the solve.
 
 Also hosts the exact branch-and-bound solver used as ground truth in
 benchmarks and tests; it reuses the greedy's survivors and verdict too.
@@ -159,14 +159,19 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
     has certified it (see ``GreedyResult``), it is returned at once, with
     no search-tree node. Otherwise a larger clique lies among the greedy's
     survivors, the vertices whose core number is at least its size. They
-    are renumbered in smallest-last order (see ``_smallest_last_order``),
-    the initial ordering of BBMC (San Segundo et al. 2011), by one relabel
-    of ``g``, so vertex ``v`` has at most its core number of neighbours
-    below it. The root loop searches each ``v`` whose core number leaves
-    room, with its lower-numbered neighbours as candidates. Each search-tree
-    node colours its candidates one class at a time on the bitsets (BBMC;
-    see ``_colour_classes``), which gives the classes of first-fit
-    colouring in the new numbering, already sorted by colour. The search
+    are renumbered by one relabel of ``g`` in the order the smallest-last
+    peel removes them (see ``_smallest_last_order``, whose reverse is the
+    initial ordering of BBMC, San Segundo et al. 2011), so vertex ``v`` has
+    at most its core number of neighbours above it. The root loop runs
+    ``v`` from the top down and searches each ``v`` whose core number leaves
+    room, with its higher-numbered neighbours as candidates. Each
+    search-tree node colours its candidates one class at a time on the
+    bitsets, each class taking the highest uncoloured candidate first, with
+    non-negative anti rows (BBMC; see ``_colour_classes``). Read from the
+    top, the numbering is smallest-last order, so these are the classes of
+    first-fit colouring in that order, and the tree is the one a search
+    numbered in smallest-last order and colouring from the lowest index
+    would visit. The classes come already sorted by colour. The search
     branches from the highest colour down and stops once the current clique
     plus a colour cannot beat the best clique; the best clique only grows,
     so the classes already below that bound when colouring are not listed.
@@ -186,11 +191,12 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
     greedy = result.clique
     if result.certified:
         return greedy
-    order = _smallest_last_order(g, result.survivors)
+    order = _smallest_last_order(g, result.survivors)[::-1]
     h = _relabel(g, order)
     core = [k.values[u] for u in order]
     rows = h.rows
-    anti = _anti_rows(rows, (1 << h.n) - 1)
+    anti = _anti_rows(rows)
+    bit = [1 << v for v in range(h.n)]
 
     best: list[int] = []  # vertices of h; empty while greedy is the best
     best_size = greedy.size
@@ -209,7 +215,7 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
                 best = stack.copy()
                 best_size = len(best)
             return
-        ordered = _colour_classes(p_mask, anti, best_size - len(stack) + 1)
+        ordered = _colour_classes(p_mask, anti, bit, best_size - len(stack) + 1)
         current = p_mask
         for v, color in reversed(ordered):
             if len(stack) + color <= best_size:
@@ -217,13 +223,13 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
             stack.append(v)
             expand(current & rows[v])
             stack.pop()
-            current ^= 1 << v
+            current ^= bit[v]
 
     try:
-        for v in range(h.n):
+        for v in range(h.n - 1, -1, -1):
             if core[v] + 1 > best_size:
                 stack.append(v)
-                expand(rows[v] & ((1 << v) - 1))
+                expand(rows[v] >> (v + 1) << (v + 1))
                 stack.pop()
     except RecursionError:
         # The search recurses once per clique member; the unwound stack

@@ -212,30 +212,31 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _anti_rows(rows: Sequence[int], mask: int) -> list[int]:
-    """``anti[v]`` for each ``v`` of ``mask``: every vertex except ``v`` and
-    its neighbours (a negative int), the mask ``_colour_classes`` keeps for
-    a class of ``v``. Entries outside ``mask`` are 0 and must not be read,
-    so colour only subsets of ``mask`` with it."""
-    anti = [0] * len(rows)
-    for v in _bits(mask):
-        anti[v] = ~(rows[v] | 1 << v)
-    return anti
+def _anti_rows(rows: Sequence[int]) -> list[int]:
+    """``anti[v]``: every vertex except ``v`` and its neighbours, the set a
+    colour class of ``v`` keeps. The rows are non-negative, so
+    ``q &= anti[v]`` allocates no two's-complement temporary and never
+    widens ``q``."""
+    mask = (1 << len(rows)) - 1
+    return [mask ^ r ^ 1 << v for v, r in enumerate(rows)]
 
 
 def _colour_classes(
-    p_mask: int, anti: list[int], kmin: int
+    p_mask: int, anti: list[int], bit: list[int], kmin: int
 ) -> list[tuple[int, int]]:
     """``(vertex, colour)`` pairs of the candidates ``p_mask``, by colour.
 
     Colour ``c`` is the ``c``-th class built from the still-uncoloured
-    candidates: take the lowest one ``v``, keep only ``anti[v]`` (neither
+    candidates: take the highest one ``v``, keep only ``anti[v]`` (neither
     ``v`` nor a neighbour of it) and repeat, so each class is an
-    independent set. Only pairs with colour ``>= kmin`` are listed, so an
-    empty list with ``kmin = s + 1`` proves that no clique inside
-    ``p_mask`` has more than ``s`` vertices: a clique takes at most one
-    vertex of each class. This is the colouring of BBMC (San Segundo et
-    al. 2011), first-fit in index order.
+    independent set, listed from its highest vertex down. ``bit[v]`` is
+    ``1 << v``. Only pairs with colour ``>= kmin`` are listed, so an empty
+    list with ``kmin = s + 1`` proves that no clique inside ``p_mask`` has
+    more than ``s`` vertices: a clique takes at most one vertex of each
+    class. This is the colouring of BBMC (San Segundo et al. 2011),
+    first-fit in descending index order. The highest bit is read with
+    ``bit_length``, which, unlike isolating the lowest with ``q & -q``,
+    builds no temporary int.
     """
     ordered: list[tuple[int, int]] = []
     uncolored = p_mask
@@ -244,9 +245,8 @@ def _colour_classes(
         color += 1
         q = uncolored
         while q:
-            low = q & -q
-            v = low.bit_length() - 1
-            uncolored ^= low
+            v = q.bit_length() - 1
+            uncolored ^= bit[v]
             q &= anti[v]
             if color >= kmin:
                 ordered.append((v, color))

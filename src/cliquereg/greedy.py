@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graph import Clique, CoreNumbers, Graph, _anti_rows, _bits, _colour_classes
+from .graph import Clique, CoreNumbers, Graph, _bits
 
 
 @dataclass(frozen=True)
@@ -14,9 +14,9 @@ class GreedyResult:
 
     ``survivors`` is the bitmask of the vertices with core number at least
     ``clique.size``, the only ones a larger clique can use. ``certified``
-    is true when their first-fit colouring (``_colour_classes``) had no
-    class reaching ``clique.size + 1``, which proves the clique maximum; an
-    empty ``survivors`` has no class and is always certified.
+    is true when their first-fit colouring in index order needs at most
+    ``clique.size`` colours (``_colours_within``), which proves the clique
+    maximum; an empty ``survivors`` needs none and is always certified.
     """
 
     clique: Clique
@@ -41,14 +41,22 @@ def greedy_maximal_clique(g: Graph, k: CoreNumbers) -> GreedyResult:
     visited.
 
     Each time ``c_max`` rises, the vertices with core number at least
-    ``c_max`` (the only ones a larger clique can use) are coloured with
-    ``_colour_classes``. When no colour class reaches ``c_max + 1``, no
-    clique of ``g`` is larger than ``c_max``, so no later seed can replace
-    the best clique and the sweep stops there: the clique returned is the
-    one the full sweep would return. Anti rows are built once, for the
-    survivors of the first raise, which hold every later survivor set.
-    The last raise's survivors and verdict are returned with the clique
-    (see :class:`GreedyResult`), so no caller colours them again.
+    ``c_max`` (the only ones a larger clique can use) are coloured first-fit
+    in index order, only far enough to tell whether ``c_max`` colours
+    suffice (``_colours_within``). When they do, no clique of ``g`` is
+    larger than ``c_max``, so no later seed can replace the best clique and
+    the sweep stops there: the clique returned is the one the full sweep
+    would return. The last raise's survivors and verdict are returned with
+    the clique (see :class:`GreedyResult`), so no caller colours them
+    again.
+
+    The colouring takes the survivors in index order, not from the highest
+    index down as the exact search does, because how many colours first-fit
+    needs depends on the order. A consistency graph numbers its vertices in
+    the order the associations are given, and ``synthetic_scene`` lists the
+    planted inliers first; coloured from the highest index down, the
+    survivors of its scenes need more classes, and the bound certifies far
+    fewer solves.
     """
     if g.n == 0:
         raise InputError("greedy clique search needs at least one vertex")
@@ -64,7 +72,6 @@ def greedy_maximal_clique(g: Graph, k: CoreNumbers) -> GreedyResult:
     best_members: tuple[int, ...] = ()
     c_max = 0
     survivors = 0
-    anti: list[int] | None = None
 
     for c_v in levels:
         for v in _bits(level_mask[c_v]):
@@ -88,9 +95,30 @@ def greedy_maximal_clique(g: Graph, k: CoreNumbers) -> GreedyResult:
                     if c < c_max:
                         break
                     survivors |= level_mask[c]
-                if anti is None:
-                    anti = _anti_rows(rows, survivors)
-                if not _colour_classes(survivors, anti, c_max + 1):
+                if _colours_within(survivors, rows, c_max):
                     return GreedyResult(Clique.of(best_members), survivors, True)
 
     return GreedyResult(Clique.of(best_members), survivors, False)
+
+
+def _colours_within(mask: int, rows: tuple[int, ...], k: int) -> bool:
+    """Whether first-fit colouring of ``mask`` in index order needs at most
+    ``k`` colours.
+
+    Each class is built from the still-uncoloured vertices: take the lowest
+    one ``v``, drop it and its neighbours (``rows[v]``) and repeat. The
+    answer is no as soon as ``k`` classes leave a vertex uncoloured, so
+    the classes past ``k`` are never built. The neighbours are dropped
+    from the graph's own rows, so, unlike the exact search, no anti rows
+    are built for a colouring that runs only a few times per call.
+    """
+    uncolored = mask
+    for _ in range(k):
+        if not uncolored:
+            break
+        q = uncolored
+        while q:
+            low = q & -q
+            uncolored ^= low
+            q ^= q & rows[low.bit_length() - 1] | low
+    return not uncolored

@@ -344,15 +344,16 @@ class TestMaxCliqueExact:
     def test_colour_classes_are_first_fit_independent_sets(self, monkeypatch):
         # Each candidate set the search colours, coloured in full with the
         # search's own anti rows: every class is an independent set of the
-        # renumbered graph, the classes are first-fit's in its numbering,
-        # and the search gets those from kmin up. The renumbered rows are
-        # recovered from anti, which holds neither v nor its neighbours.
+        # renumbered graph, the classes are first-fit's in its numbering
+        # taken from the highest index down, and the search gets those from
+        # kmin up. The renumbered rows are recovered from anti, which holds
+        # every vertex but v and its neighbours.
         colour_classes = clipper_plus_module._colour_classes
         seen = []
 
-        def spy(p_mask, anti, kmin):
-            seen.append((p_mask, anti, kmin))
-            return colour_classes(p_mask, anti, kmin)
+        def spy(p_mask, anti, bit, kmin):
+            seen.append((p_mask, anti, bit, kmin))
+            return colour_classes(p_mask, anti, bit, kmin)
 
         monkeypatch.setattr(clipper_plus_module, "_colour_classes", spy)
         rng = np.random.default_rng(11)
@@ -361,17 +362,27 @@ class TestMaxCliqueExact:
             seen.clear()
             max_clique_exact(g)
             assert seen
-            for p_mask, anti, kmin in seen:
-                rows = [~a ^ (1 << v) for v, a in enumerate(anti)]
+            for p_mask, anti, bit, kmin in seen:
+                n = len(anti)
+                assert bit == [1 << v for v in range(n)]
+                mask = (1 << n) - 1
+                rows = [mask ^ a ^ 1 << v for v, a in enumerate(anti)]
                 assert all(not (r >> v) & 1 for v, r in enumerate(rows))
-                full = colour_classes(p_mask, anti, 1)
+
+                def mirror(x):
+                    return int(format(x, f"0{n}b")[::-1], 2)
+
+                mirrored = [mirror(rows[n - 1 - v]) for v in range(n)]
+                full = colour_classes(p_mask, anti, bit, 1)
                 classes: dict[int, int] = {}
                 for v, color in full:
                     classes[color] = classes.get(color, 0) | 1 << v
                 for cmask in classes.values():
-                    assert not any(rows[v] & cmask for v in range(len(rows)) if (cmask >> v) & 1)
-                assert full == first_fit_colour_order(rows, p_mask)
-                assert colour_classes(p_mask, anti, kmin) == [
+                    assert not any(rows[v] & cmask for v in range(n) if (cmask >> v) & 1)
+                assert full == [
+                    (n - 1 - v, c) for v, c in first_fit_colour_order(mirrored, mirror(p_mask))
+                ]
+                assert colour_classes(p_mask, anti, bit, kmin) == [
                     (v, c) for v, c in full if c >= kmin
                 ]
 
@@ -400,12 +411,14 @@ class TestMaxCliqueExact:
         assert len(certified) >= 20
 
     def test_smallest_last_numbering_keeps_g125_within_budget(self):
-        # The smallest-last numbering finishes this graph in 29,557 nodes;
-        # searching in index order needs over 100,000.
+        # The smallest-last numbering finishes this graph in exactly 29,557
+        # nodes; searching in index order needs over 100,000.
         g = random_graph(np.random.default_rng(0), 125, 0.9)
-        found = max_clique_exact(g, budget=100_000)
+        found = max_clique_exact(g, budget=29_557)
         assert found.size == 34
         assert validate_clique(g, found.members).is_maximal
+        with pytest.raises(BudgetExceeded):
+            max_clique_exact(g, budget=29_556)
 
     def test_budget_exhaustion(self):
         rng = np.random.default_rng(3)

@@ -18,7 +18,7 @@ from cliquereg import (
 greedy_module = importlib.import_module("cliquereg.greedy")
 
 from .conftest import random_graph
-from .oracles import brute_force_max_clique, reference_greedy
+from .oracles import brute_force_max_clique, first_fit_colour_order, reference_greedy
 
 
 def complete_graph(n: int) -> Graph:
@@ -115,16 +115,30 @@ def _planted_clique_graph(rng: np.random.Generator, n: int, p: float, size: int)
 
 
 def _colouring_spy(monkeypatch) -> list:
-    """Record the result of every colouring the greedy makes."""
+    """Record the verdict of every colouring the greedy makes."""
     results = []
-    colour_classes = greedy_module._colour_classes
+    colours_within = greedy_module._colours_within
 
-    def spy(p_mask, anti, kmin):
-        results.append(colour_classes(p_mask, anti, kmin))
+    def spy(mask, rows, k):
+        results.append(colours_within(mask, rows, k))
         return results[-1]
 
-    monkeypatch.setattr(greedy_module, "_colour_classes", spy)
+    monkeypatch.setattr(greedy_module, "_colours_within", spy)
     return results
+
+
+def test_colours_within_matches_first_fit_in_index_order():
+    # The yes/no colouring answers whether first-fit in index order needs
+    # at most k colours, for every k around the count it needs, on a mask
+    # of part of the vertices.
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n = int(rng.integers(1, 61))
+        g = random_graph(rng, n, float(rng.uniform(0.05, 0.95)))
+        mask = sum(1 << v for v in range(n) if rng.random() < 0.7)
+        needed = max((c for _, c in first_fit_colour_order(g.rows, mask)), default=0)
+        for k in range(needed + 2):
+            assert greedy_module._colours_within(mask, g.rows, k) == (k >= needed)
 
 
 class TestColourBoundStop:
@@ -149,7 +163,7 @@ class TestColourBoundStop:
             k = core_numbers(g)
             results.clear()
             assert greedy_maximal_clique(g, k).clique.members == reference_greedy(g, k)
-            assert results[-1] == []
+            assert results[-1] is True
 
     def test_ci_scene_colours_once_and_stops_early(self, monkeypatch):
         # The 1000-association scene of the CI colour-bound step: the first
@@ -171,7 +185,7 @@ class TestColourBoundStop:
         clique = greedy_maximal_clique(g, k).clique
         survivors = sum(c >= clique.size for c in k.values)
         assert (clique.size, survivors) == (50, 512)
-        assert results == [[]]
+        assert results == [True]
         assert len(seeds) == 1
         assert clique.members == reference_greedy(g, k)
 
