@@ -13,7 +13,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -47,19 +47,6 @@ DIMACS_OMEGA: dict[str, int] = {
     "p_hat300-2": 25,
 }
 
-CSV_COLUMNS = (
-    "graph_id",
-    "n",
-    "sparsity",
-    "algo",
-    "clique_size",
-    "omega_gt",
-    "r",
-    "runtime_ms",
-    "seed",
-    "early_terminated",
-)
-
 # Solvers by name. Each takes the graph, the relaxation parameters and the
 # exact-search node budget, and returns a clique or a CLIPPER+ report.
 _SOLVERS: dict[str, Callable[..., Clique | ClipperPlusReport]] = {
@@ -83,6 +70,12 @@ class AlgorithmRun:
 
 @dataclass(frozen=True)
 class BenchRecord:
+    """One solver run; the fields, in order, are the CSV columns.
+
+    ``stop`` is the CLIPPER+ report's stop reason (see
+    ``ClipperPlusReport``) and ``None`` for the other algorithms.
+    """
+
     graph_id: str
     n: int
     sparsity: float | None
@@ -92,7 +85,10 @@ class BenchRecord:
     r: float | None
     runtime_ms: float
     seed: int | None
-    early_terminated: bool | None
+    stop: str | None
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 
 
 @dataclass(frozen=True)
@@ -221,9 +217,7 @@ def _bench_graph(
                 r=None if omega is None else accuracy_ratio(run.clique.size, omega),
                 runtime_ms=run.runtime_ms,
                 seed=seed,
-                early_terminated=(
-                    None if run.report is None else run.report.early_terminated
-                ),
+                stop=None if run.report is None else run.report.stop,
             )
         )
     return records
@@ -324,22 +318,13 @@ def bench_synthetic(
     return records, aggregates
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def records_to_csv(records: Sequence[BenchRecord]) -> str:
+    """CSV of the records; ``csv`` writes a ``None`` field as an empty
+    cell and a float as its ``repr``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        writer.writerow([_cell(getattr(rec, col)) for col in CSV_COLUMNS])
+    writer.writerows(astuple(rec) for rec in records)
     return buf.getvalue()
 
 
@@ -347,9 +332,6 @@ def write_records(records: Sequence[BenchRecord], path: str | Path) -> None:
     """Write records as CSV, or JSON when the path ends in .json."""
     out = Path(path)
     if out.suffix.lower() == ".json":
-        payload = [
-            {col: getattr(rec, col) for col in CSV_COLUMNS} for rec in records
-        ]
-        out.write_text(json.dumps(payload, indent=1))
+        out.write_text(json.dumps([asdict(rec) for rec in records], indent=1))
     else:
         out.write_text(records_to_csv(records))

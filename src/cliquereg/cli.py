@@ -58,7 +58,7 @@ def _load_params(path: str | None) -> SolverParams | None:
     if path is None:
         return None
     payload = read_json_object(path, "parameter")
-    allowed = {"sigma", "beta", "tol", "d0", "d_max"}
+    allowed = {"sigma", "beta", "tol"}
     unknown = set(payload) - allowed
     if unknown:
         raise InputError(f"unknown solver parameters: {sorted(unknown)}")

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import BudgetExceeded, InputError, SolverFailure
 from .graph import (
     Clique,
-    CoreNumbers,
     Graph,
     _anti_rows,
     _colour_classes,
@@ -76,19 +75,17 @@ class ClipperPlusReport:
 
 
 def prune_by_core(
-    g: Graph, k: CoreNumbers, threshold: int
+    g: Graph, k: tuple[int, ...], threshold: int
 ) -> tuple[Graph, tuple[int, ...]]:
-    """Keep only vertices with core number >= threshold.
+    """Keep only vertices whose core number in ``k`` is >= threshold.
 
     Returns the subgraph on the survivors plus its local-to-original index
     map. Any clique strictly larger than ``threshold`` lives entirely among
     the survivors, so pruning never discards an improving clique.
     """
-    if len(k.values) != g.n:
-        raise InputError(
-            f"core-number vector has length {len(k.values)}, expected {g.n}"
-        )
-    keep = [v for v in range(g.n) if k.values[v] >= threshold]
+    if len(k) != g.n:
+        raise InputError(f"core-number vector has length {len(k)}, expected {g.n}")
+    keep = [v for v in range(g.n) if k[v] >= threshold]
     return g.induced_subgraph(keep)
 
 
@@ -193,7 +190,7 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
         return greedy
     order = _smallest_last_order(g, result.survivors)[::-1]
     h = _relabel(g, order)
-    core = [k.values[u] for u in order]
+    core = [k[u] for u in order]
     rows = h.rows
     anti = _anti_rows(rows)
     bit = [1 << v for v in range(h.n)]

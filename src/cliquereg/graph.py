@@ -85,14 +85,8 @@ class Graph:
             raise InputError("adjacency matrix is not symmetric")
         return _from_packed(np.packbits(mat, axis=1, bitorder="little"), mat.shape[0])
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return bool((self.rows[i] >> j) & 1)
-
     def neighbors(self, v: int) -> list[int]:
         return list(_bits(self.rows[v]))
-
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency matrix (fresh copy)."""
@@ -254,18 +248,6 @@ def _colour_classes(
 
 
 @dataclass(frozen=True)
-class CoreNumbers:
-    """Per-vertex core numbers: ``values[v]`` is the largest k such that v
-    belongs to a subgraph where every vertex has degree >= k."""
-
-    values: tuple[int, ...]
-
-    @property
-    def max_core(self) -> int:
-        return max(self.values) if self.values else 0
-
-
-@dataclass(frozen=True)
 class Clique:
     """A vertex set asserted to be pairwise adjacent, kept sorted."""
 
@@ -286,8 +268,10 @@ class CliqueCheck:
     is_maximal: bool
 
 
-def core_numbers(g: Graph) -> CoreNumbers:
-    """Core numbers of every vertex by level-synchronous min-degree peeling.
+def core_numbers(g: Graph) -> tuple[int, ...]:
+    """Core numbers of every vertex by level-synchronous min-degree peeling:
+    entry ``v`` is the largest k such that v belongs to a subgraph where
+    every vertex has degree >= k.
 
     Each round raises ``k`` to the smallest live degree if that is larger,
     removes every live vertex whose degree is at most ``k`` and gives it
@@ -320,7 +304,7 @@ def core_numbers(g: Graph) -> CoreNumbers:
         for s in range(0, len(peel), batch):
             removed = _unpack(g.packed[peel[s : s + batch]], n)
             degree -= removed.sum(axis=0, dtype=np.int32)
-    return CoreNumbers(values=tuple(core.tolist()))
+    return tuple(core.tolist())
 
 
 def sparsity(g: Graph) -> float:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graph import Clique, CoreNumbers, Graph, _bits
+from .graph import Clique, Graph, _bits
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,9 @@ class GreedyResult:
     certified: bool
 
 
-def greedy_maximal_clique(g: Graph, k: CoreNumbers) -> GreedyResult:
-    """Grow a maximal clique around high-core vertices.
+def greedy_maximal_clique(g: Graph, k: tuple[int, ...]) -> GreedyResult:
+    """Grow a maximal clique around high-core vertices; ``k`` holds the
+    core numbers of ``g`` (see ``core_numbers``).
 
     Vertices are visited in descending core-number order (ties broken by
     ascending index). A visited vertex is skipped unless its core number is
@@ -60,12 +61,10 @@ def greedy_maximal_clique(g: Graph, k: CoreNumbers) -> GreedyResult:
     """
     if g.n == 0:
         raise InputError("greedy clique search needs at least one vertex")
-    if len(k.values) != g.n:
-        raise InputError(
-            f"core-number vector has length {len(k.values)}, expected {g.n}"
-        )
+    if len(k) != g.n:
+        raise InputError(f"core-number vector has length {len(k)}, expected {g.n}")
     level_mask: dict[int, int] = {}
-    for v, c in enumerate(k.values):
+    for v, c in enumerate(k):
         level_mask[c] = level_mask.get(c, 0) | (1 << v)
     levels = sorted(level_mask, reverse=True)
     rows = g.rows

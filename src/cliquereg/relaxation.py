@@ -39,18 +39,13 @@ _ESCAPE_SCALE = 1e-4
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Line-search and homotopy constants.
-
-    ``d_max`` of ``None`` resolves to ``n + 1`` at solve time; any explicit
-    value below the vertex count is rejected, since only penalties at or
-    above it guarantee that local maximizers are maximal-clique indicators.
-    """
+    """Line-search constants: the Armijo sufficient-increase fraction
+    ``sigma``, the backtracking factor ``beta`` and the convergence
+    tolerance ``tol``."""
 
     sigma: float = 0.01
     beta: float = 0.5
     tol: float = 1e-8
-    d0: float = 0.0
-    d_max: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.sigma < 1.0):
@@ -59,10 +54,6 @@ class SolverParams:
             raise InputError(f"beta must be in (0, 1), got {self.beta}")
         if not (0.0 < self.tol < math.inf):
             raise InputError(f"tol must be positive and finite, got {self.tol}")
-        if not (0.0 <= self.d0 < math.inf):
-            raise InputError(f"d0 must be non-negative and finite, got {self.d0}")
-        if self.d_max is not None and not math.isfinite(self.d_max):
-            raise InputError(f"d_max must be finite, got {self.d_max}")
 
 
 @dataclass
@@ -198,7 +189,9 @@ def solve_relaxation(
     support of the final binary iterate as a clique.
 
     The initial guess is clamped to the orthant and normalized; an all-zero
-    clamped guess is replaced by the uniform vector. The step size carries
+    clamped guess is replaced by the uniform vector. The penalty starts at
+    0 and rises to at most ``n + 1``; at or above the vertex count every
+    local maximizer is a maximal-clique indicator. The step size carries
     across penalty increments rather than resetting.
     """
     if params is None:
@@ -215,18 +208,14 @@ def solve_relaxation(
     if u is None:
         u = uniform_initial_guess(n)
 
-    d_max = float(n + 1) if params.d_max is None else float(params.d_max)
-    if d_max < n:
-        raise InputError(f"d_max must be at least the vertex count {n}, got {d_max}")
-
-    mask = g.adjacency_matrix()
-    np.fill_diagonal(mask, True)
-    mask_f = mask.astype(float)
+    mask_f = g.adjacency_matrix().astype(float)
+    np.fill_diagonal(mask_f, 1.0)
     # M_d of each round overwrites the last one's, so a solve holds one
     # n x n matrix besides the mask, never two.
     matrix = np.empty_like(mask_f)
 
-    d = float(params.d0)
+    d = 0.0
+    d_max = float(n + 1)
     alpha = 1.0
     tol = params.tol
     max_outer = MAX_OUTER_ROUNDS_PER_VERTEX * n

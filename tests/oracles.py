@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from cliquereg import (
-    CoreNumbers,
     Graph,
     SolverFailure,
     core_numbers,
@@ -29,7 +28,7 @@ from cliquereg import (
 def naive_core_numbers(g: Graph) -> list[int]:
     """K(v) = largest k such that v survives min-degree-k peeling."""
     core = [0] * g.n
-    max_deg = max((g.degree(v) for v in range(g.n)), default=0)
+    max_deg = max((g.rows[v].bit_count() for v in range(g.n)), default=0)
     for k in range(max_deg + 1):
         alive = set(range(g.n))
         changed = True
@@ -45,15 +44,15 @@ def naive_core_numbers(g: Graph) -> list[int]:
     return core
 
 
-def bucket_queue_core_numbers(g: Graph) -> CoreNumbers:
+def bucket_queue_core_numbers(g: Graph) -> tuple[int, ...]:
     """Core numbers by one-vertex-at-a-time min-degree peeling.
 
     Bucket-queue implementation (Batagelj-Zaversnik), O(|V| + |E|).
     """
     n = g.n
     if n == 0:
-        return CoreNumbers(values=())
-    degree = [g.degree(v) for v in range(n)]
+        return ()
+    degree = [g.rows[v].bit_count() for v in range(n)]
     max_deg = max(degree)
     bins = [0] * (max_deg + 1)
     for d in degree:
@@ -90,7 +89,7 @@ def bucket_queue_core_numbers(g: Graph) -> CoreNumbers:
                     pos[w], vert[pw] = pu, u
                 bins[du] += 1
                 core[u] -= 1
-    return CoreNumbers(values=tuple(core))
+    return tuple(core)
 
 
 def brute_force_max_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -125,7 +124,7 @@ def broadcast_distance_mismatch(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return np.abs(da - db)
 
 
-def reference_greedy(g: Graph, k: CoreNumbers) -> tuple[int, ...]:
+def reference_greedy(g: Graph, k: tuple[int, ...]) -> tuple[int, ...]:
     """Degeneracy greedy with an explicit, sorted candidate list per seed.
 
     Seeds go in (-core, index) order. A seed whose core number is at least
@@ -133,13 +132,13 @@ def reference_greedy(g: Graph, k: CoreNumbers) -> tuple[int, ...]:
     at least ``c_max`` in the same order, accepting each one adjacent to
     everything accepted. Returns the sorted members of the best clique.
     """
-    order = sorted(range(g.n), key=lambda v: (-k.values[v], v))
+    order = sorted(range(g.n), key=lambda v: (-k[v], v))
     best_members: tuple[int, ...] = ()
     c_max = 0
     for v in order:
-        if k.values[v] >= c_max:
-            candidates = [u for u in g.neighbors(v) if k.values[u] >= c_max]
-            candidates.sort(key=lambda u: (-k.values[u], u))
+        if k[v] >= c_max:
+            candidates = [u for u in g.neighbors(v) if k[u] >= c_max]
+            candidates.sort(key=lambda u: (-k[u], u))
             grown_mask = 1 << v
             grown = [v]
             if len(grown) > c_max:
@@ -227,7 +226,7 @@ def reference_max_clique_exact(g: Graph) -> tuple[tuple[int, ...], int]:
     """
     k = core_numbers(g)
     best = list(greedy_maximal_clique(g, k).clique.members)
-    survivors = [v for v in range(g.n) if k.values[v] >= len(best)]
+    survivors = [v for v in range(g.n) if k[v] >= len(best)]
     colours = first_fit_colour_order(g.rows, sum(1 << v for v in survivors))
     if all(c <= len(best) for _, c in colours):
         return tuple(best), 0
@@ -257,7 +256,7 @@ def reference_max_clique_exact(g: Graph) -> tuple[tuple[int, ...], int]:
             current &= ~(1 << v)
 
     for v in range(len(order)):
-        if k.values[order[v]] + 1 > len(best):
+        if k[order[v]] + 1 > len(best):
             stack.append(v)
             expand(rows[v] & ((1 << v) - 1))
             stack.pop()

@@ -70,6 +70,21 @@ class TestBenchDimacs:
             assert rec.omega_gt is None  # not in the published table
             assert rec.r is None
             assert rec.seed is None
+        assert by_algo["clipper+"].stop == "core bound"
+        assert by_algo["greedy"].stop is None
+
+    def test_colour_bound_stop_is_recorded(self, tmp_path):
+        # The octahedron: every vertex has core number 4, so all six survive
+        # the greedy's triangle, and three colour classes prove it maximum.
+        path = tmp_path / "octahedron.clq"
+        path.write_text(
+            "p edge 6 12\n"
+            + "".join(f"e {i} {j}\n" for i in range(1, 7) for j in range(i + 1, 7)
+                      if (i, j) not in ((1, 2), (3, 4), (5, 6)))
+        )
+        (rec,) = bench_dimacs([path], ["clipper+"])
+        assert (rec.clique_size, rec.stop) == (3, "colour bound")
+        assert records_to_csv([rec]).splitlines()[1].endswith(",colour bound")
 
     def test_omega_override_fills_ratio(self, example_file):
         records = bench_dimacs(
@@ -176,31 +191,35 @@ class TestRecordSerialization:
         graph_id="g",
         n=5,
         sparsity=0.6,
-        algo="greedy",
+        algo="clipper+",
         clique_size=3,
         omega_gt=None,
         r=None,
         runtime_ms=1.25,
         seed=42,
-        early_terminated=False,
+        stop="colour bound",
     )
 
     def test_csv_header_and_cells(self):
         text = records_to_csv([self.RECORD])
         lines = text.splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
-        assert lines[1] == "g,5,0.6,greedy,3,,,1.25,42,false"
+        assert lines[0] == (
+            "graph_id,n,sparsity,algo,clique_size,omega_gt,r,runtime_ms,seed,stop"
+        )
+        assert lines[1] == "g,5,0.6,clipper+,3,,,1.25,42,colour bound"
 
     def test_float_cells_round_trip(self):
         rec = BenchRecord(
             graph_id="g", n=3, sparsity=1.0 / 3.0, algo="exact", clique_size=1,
             omega_gt=1, r=1.0, runtime_ms=0.1 + 0.2, seed=None,
-            early_terminated=None,
+            stop=None,
         )
         line = records_to_csv([rec]).splitlines()[1]
         cells = line.split(",")
         assert float(cells[2]) == 1.0 / 3.0
         assert float(cells[7]) == 0.1 + 0.2
+        assert cells[9] == ""
 
     def test_write_csv_and_json(self, tmp_path):
         csv_path = tmp_path / "out.csv"
@@ -215,12 +234,12 @@ class TestRecordSerialization:
                 "graph_id": "g",
                 "n": 5,
                 "sparsity": 0.6,
-                "algo": "greedy",
+                "algo": "clipper+",
                 "clique_size": 3,
                 "omega_gt": None,
                 "r": None,
                 "runtime_ms": 1.25,
                 "seed": 42,
-                "early_terminated": False,
+                "stop": "colour bound",
             }
         ]

@@ -72,10 +72,8 @@ class TestPruneByCore:
         assert pruned is triangle_plus_edge
 
     def test_core_vector_length_mismatch(self, triangle_plus_edge):
-        from cliquereg.graph import CoreNumbers
-
         with pytest.raises(InputError):
-            prune_by_core(triangle_plus_edge, CoreNumbers(values=(1, 1)), 1)
+            prune_by_core(triangle_plus_edge, (1, 1), 1)
 
     def test_pruning_never_loses_an_improving_clique(self):
         # Any clique strictly larger than the greedy one must survive the
@@ -210,7 +208,7 @@ class TestColourBound:
             k = core_numbers(g)
             result = greedy_maximal_clique(g, k)
             size = result.clique.size
-            survivors = sum(1 << v for v, c in enumerate(k.values) if c >= size)
+            survivors = sum(1 << v for v, c in enumerate(k) if c >= size)
             colours = first_fit_colour_order(g.rows, survivors)
             assert result.survivors == survivors
             assert result.certified == all(c <= size for _, c in colours)
@@ -286,7 +284,7 @@ class TestColourBound:
         for g in bound:
             report = clipper_plus(g)
             k = core_numbers(g)
-            assert report.pruned_n == sum(c >= report.greedy_size for c in k.values)
+            assert report.pruned_n == sum(c >= report.greedy_size for c in k)
         assert len(bound) >= 20
 
     def test_relaxing_solve_prunes_once(self, monkeypatch):

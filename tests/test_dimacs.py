@@ -16,11 +16,11 @@ def test_worked_example():
     g = parse_dimacs(WORKED_EXAMPLE)
     assert g.n == 5
     assert g.edge_count == 4
-    assert g.adjacent(0, 3)
-    assert g.adjacent(1, 2)
-    assert g.adjacent(1, 4)
-    assert g.adjacent(2, 4)
-    assert not g.adjacent(0, 1)
+    assert (g.rows[0] >> 3) & 1
+    assert (g.rows[1] >> 2) & 1
+    assert (g.rows[1] >> 4) & 1
+    assert (g.rows[2] >> 4) & 1
+    assert not (g.rows[0] >> 1) & 1
 
 
 def test_comments_and_blank_lines_ignored():
@@ -43,7 +43,7 @@ def test_vertex_count_over_packed_graph_cap_rejected():
 def test_isolated_vertices_allowed():
     g = parse_dimacs("p edge 10 1\ne 1 2\n")
     assert g.n == 10
-    assert g.degree(9) == 0
+    assert g.rows[9].bit_count() == 0
 
 
 def test_edge_count_mismatch_warns():

@@ -43,7 +43,7 @@ def test_core_numbers_match_networkx():
     labelled = itertools.chain(core_test_graphs(), (("seeded", g) for g in seeded_graphs(40)))
     for label, g in labelled:
         expected = nx.core_number(to_networkx(g))
-        assert core_numbers(g).values == tuple(expected[v] for v in range(g.n)), label
+        assert core_numbers(g) == tuple(expected[v] for v in range(g.n)), label
 
 
 def test_greedy_clique_is_maximal_per_networkx():

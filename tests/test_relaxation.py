@@ -139,19 +139,12 @@ class TestSolverParams:
             SolverParams(beta=1.0)
         with pytest.raises(InputError):
             SolverParams(tol=-1.0)
-        with pytest.raises(InputError):
-            SolverParams(d0=-0.1)
 
-    @pytest.mark.parametrize("name", ["tol", "d0", "d_max"])
+    @pytest.mark.parametrize("name", ["tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_constants(self, name, value):
         with pytest.raises(InputError, match=name):
             SolverParams(**{name: value})
-
-    def test_d_max_below_vertex_count_rejected(self, triangle_plus_edge):
-        params = SolverParams(d_max=3.0)
-        with pytest.raises(InputError, match="d_max"):
-            solve_relaxation(triangle_plus_edge, uniform_initial_guess(5), params)
 
 
 class TestSolveRelaxation:
