@@ -86,6 +86,17 @@ class TestBenchDimacs:
         assert (rec.clique_size, rec.stop) == (3, "colour bound")
         assert records_to_csv([rec]).splitlines()[1].endswith(",colour bound")
 
+    def test_relaxation_stop_is_recorded(self, tmp_path):
+        # The 5-cycle: core and colour bounds are both 3, above the
+        # greedy's edge, so only the relaxation can end the solve.
+        path = tmp_path / "c5.clq"
+        path.write_text(
+            "p edge 5 5\n" + "".join(f"e {i} {i % 5 + 1}\n" for i in range(1, 6))
+        )
+        (rec,) = bench_dimacs([path], ["clipper+"])
+        assert (rec.clique_size, rec.stop) == (2, "relaxation")
+        assert records_to_csv([rec]).splitlines()[1].endswith(",relaxation")
+
     def test_omega_override_fills_ratio(self, example_file):
         records = bench_dimacs(
             [example_file], ["greedy"], omega_gt={"triangle_plus_edge": 3}

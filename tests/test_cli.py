@@ -104,9 +104,15 @@ class TestSolve:
         params.write_text(json.dumps({"sigma": 0.02, "tol": 1e-9}))
         assert main(["solve", graph_file, "--algo", "relax", "--params", str(params)]) == 0
 
+    def test_unknown_param_rejected(self, graph_file, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"gamma": 1.0}))
+        assert main(["solve", graph_file, "--params", str(params)]) == 1
+        assert "unknown solver parameters" in capsys.readouterr().err
+
     # The penalty range is fixed (0 to n + 1), so d0 and d_max are unknown.
-    @pytest.mark.parametrize("name", ["gamma", "d0", "d_max"])
-    def test_unknown_param_rejected(self, graph_file, tmp_path, capsys, name):
+    @pytest.mark.parametrize("name", ["d0", "d_max"])
+    def test_penalty_range_param_rejected(self, graph_file, tmp_path, capsys, name):
         params = tmp_path / "params.json"
         params.write_text(json.dumps({name: 1.0}))
         assert main(["solve", graph_file, "--params", str(params)]) == 1

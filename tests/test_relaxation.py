@@ -248,6 +248,17 @@ class TestSolveRelaxation:
         assert info.value.last_iterate is not None
         assert info.value.penalty is not None
 
+    def test_penalty_runs_from_zero_to_vertex_count_plus_one(self):
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            n = int(rng.integers(5, 30))
+            g = random_graph(rng, n, float(rng.uniform(0.3, 0.7)))
+            diag = RelaxationDiagnostics()
+            solve_relaxation(g, rng.uniform(size=n), diagnostics=diag)
+            penalties = [d for _, d, _ in diag.objective_steps]
+            assert penalties[0] == 0.0
+            assert max(penalties) <= n + 1
+
     def test_diagnostics_filled(self, triangle_plus_edge):
         diag = RelaxationDiagnostics()
         solve_relaxation(triangle_plus_edge, uniform_initial_guess(5), diagnostics=diag)
