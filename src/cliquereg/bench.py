@@ -27,11 +27,11 @@ from .clipper_plus import (
     max_clique_exact,
 )
 from .dimacs import load_dimacs
-from .errors import BudgetExceeded, InputError, SolverFailure
+from .errors import BudgetExceeded, InputError, SolverFailure, write_text
 from .graph import Clique, Graph, core_numbers, sparsity, validate_clique
 from .greedy import greedy_maximal_clique
 from .registration import build_consistency_graph, synthetic_scene
-from .relaxation import SolverParams, solve_relaxation, uniform_initial_guess
+from .relaxation import solve_relaxation, uniform_initial_guess
 
 # Published maximum clique sizes for the classic DIMACS instances, used to
 # compute accuracy ratios when the corresponding files are benchmarked.
@@ -47,15 +47,13 @@ DIMACS_OMEGA: dict[str, int] = {
     "p_hat300-2": 25,
 }
 
-# Solvers by name. Each takes the graph, the relaxation parameters and the
-# exact-search node budget, and returns a clique or a CLIPPER+ report.
-_SOLVERS: dict[str, Callable[..., Clique | ClipperPlusReport]] = {
-    "greedy": lambda g, params, budget: greedy_maximal_clique(g, core_numbers(g)).clique,
-    "relax": lambda g, params, budget: solve_relaxation(
-        g, uniform_initial_guess(g.n), params
-    ),
-    "clipper+": lambda g, params, budget: clipper_plus(g, params),
-    "exact": lambda g, params, budget: max_clique_exact(g, budget=budget),
+# Solvers by name. Each takes the graph and the exact-search node budget,
+# and returns a clique or a CLIPPER+ report.
+_SOLVERS: dict[str, Callable[[Graph, int], Clique | ClipperPlusReport]] = {
+    "greedy": lambda g, budget: greedy_maximal_clique(g, core_numbers(g)).clique,
+    "relax": lambda g, budget: solve_relaxation(g, uniform_initial_guess(g.n)),
+    "clipper+": lambda g, budget: clipper_plus(g),
+    "exact": lambda g, budget: max_clique_exact(g, budget=budget),
 }
 
 ALGORITHM_NAMES = tuple(_SOLVERS)
@@ -111,7 +109,6 @@ class SweepConfig:
     n_associations: int = 100
     base_seed: int = 0
     oracle_budget: int = DEFAULT_EXACT_BUDGET
-    params: SolverParams | None = None
 
     def __post_init__(self):
         if self.outlier_step <= 0:
@@ -154,7 +151,6 @@ def run_algorithm(
     name: str,
     g: Graph,
     *,
-    params: SolverParams | None = None,
     exact_budget: int = DEFAULT_EXACT_BUDGET,
 ) -> AlgorithmRun:
     """Run one solver with solve-only timing and validate its output."""
@@ -164,7 +160,7 @@ def run_algorithm(
             f"unknown algorithm {name!r}, expected one of {ALGORITHM_NAMES}"
         )
     start = time.perf_counter()
-    result = solver(g, params, exact_budget)
+    result = solver(g, exact_budget)
     runtime_ms = (time.perf_counter() - start) * 1e3
     if isinstance(result, ClipperPlusReport):
         run = AlgorithmRun(result.clique, runtime_ms, result)
@@ -189,7 +185,6 @@ def _bench_graph(
     algorithms: Sequence[str],
     omega: int | None,
     seed: int | None,
-    params: SolverParams | None,
     exact_budget: int,
 ) -> list[BenchRecord]:
     """One record per algorithm run on ``g``.
@@ -202,7 +197,7 @@ def _bench_graph(
     records = []
     for name in algorithms:
         try:
-            run = run_algorithm(name, g, params=params, exact_budget=exact_budget)
+            run = run_algorithm(name, g, exact_budget=exact_budget)
         except (SolverFailure, BudgetExceeded) as exc:
             print(f"warning: {name} failed on {graph_id}: {exc}", file=sys.stderr)
             continue
@@ -228,7 +223,6 @@ def bench_dimacs(
     algorithms: Sequence[str],
     omega_gt: Mapping[str, int] | None = None,
     *,
-    params: SolverParams | None = None,
     exact_budget: int = DEFAULT_EXACT_BUDGET,
 ) -> list[BenchRecord]:
     """Benchmark each algorithm on each DIMACS file.
@@ -245,7 +239,7 @@ def bench_dimacs(
         graph_id = Path(path).stem
         records += _bench_graph(
             graph_id, load_dimacs(path), algorithms, table.get(graph_id),
-            None, params, exact_budget,
+            None, exact_budget,
         )
     records.sort(key=_record_sort_key)
     return records
@@ -294,7 +288,7 @@ def bench_synthetic(
                 omega = None
             runs = _bench_graph(
                 f"synthetic_o{pct:03d}_t{trial:03d}", g, config.algorithms,
-                omega, seed, config.params, config.oracle_budget,
+                omega, seed, config.oracle_budget,
             )
             for rec in runs:
                 if rec.r is not None:
@@ -330,8 +324,8 @@ def records_to_csv(records: Sequence[BenchRecord]) -> str:
 
 def write_records(records: Sequence[BenchRecord], path: str | Path) -> None:
     """Write records as CSV, or JSON when the path ends in .json."""
-    out = Path(path)
-    if out.suffix.lower() == ".json":
-        out.write_text(json.dumps([asdict(rec) for rec in records], indent=1))
+    if Path(path).suffix.lower() == ".json":
+        text = json.dumps([asdict(rec) for rec in records], indent=1)
     else:
-        out.write_text(records_to_csv(records))
+        text = records_to_csv(records)
+    write_text(path, text, "records")

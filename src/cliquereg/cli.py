@@ -1,6 +1,6 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 bad input (files, flags, parameters), 2 solver
+Exit codes: 0 success, 1 bad input (files, flags), 2 solver
 failure (relaxation or exact-search budget), 3 registration failure, 141
 standard output closed before everything was written (as by ``| head``;
 128 plus SIGPIPE, the status a shell reports for a program the signal
@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .errors import (
     SolverFailure,
     read_json_object,
     read_text,
+    write_text,
 )
 from .registration import (
     Association,
@@ -44,7 +44,6 @@ from .registration import (
     save_scenario,
     synthetic_scene,
 )
-from .relaxation import SolverParams
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,18 +53,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _load_params(path: str | None) -> SolverParams | None:
-    if path is None:
-        return None
-    payload = read_json_object(path, "parameter")
-    allowed = {"sigma", "beta", "tol"}
-    unknown = set(payload) - allowed
-    if unknown:
-        raise InputError(f"unknown solver parameters: {sorted(unknown)}")
-    try:
-        return SolverParams(**payload)
-    except TypeError as exc:
-        raise InputError(f"bad solver parameters: {exc}") from exc
+def _positive_int(text: str) -> int:
+    """An argparse ``type`` for a count that must be at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _read_rows(path: str, what: str, form: str, parse) -> list:
@@ -93,10 +85,7 @@ def _read_rows(path: str, what: str, form: str, parse) -> list:
 
 def _cmd_solve(args) -> int:
     g = load_dimacs(args.graph)
-    params = _load_params(args.params)
-    run = run_algorithm(
-        args.algo, g, params=params, exact_budget=args.budget
-    )
+    run = run_algorithm(args.algo, g, exact_budget=args.budget)
     vertices = " ".join(str(v + 1) for v in run.clique.members)
     print(f"graph: {args.graph}")
     print(f"algorithm: {args.algo}")
@@ -120,13 +109,7 @@ def _cmd_bench_dimacs(args) -> int:
                     f"--omega-gt value for {k!r} must be a positive integer, got {v!r}"
                 )
             table[str(k)] = v
-    records = bench_dimacs(
-        args.graphs,
-        args.algo,
-        table,
-        params=_load_params(args.params),
-        exact_budget=args.budget,
-    )
+    records = bench_dimacs(args.graphs, args.algo, table, exact_budget=args.budget)
     write_records(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
     print(f"{'graph':<18s} {'algo':<8s} {'size':>5s} {'omega':>5s} {'r':>6s} {'ms':>9s}")
@@ -159,7 +142,6 @@ def _cmd_bench_synthetic(args) -> int:
         n_associations=args.associations,
         base_seed=args.seed,
         oracle_budget=args.budget,
-        params=_load_params(args.params),
     )
     records, aggregates = bench_synthetic(config)
     write_records(records, args.out)
@@ -175,7 +157,6 @@ def _cmd_bench_synthetic(args) -> int:
 
 
 def _cmd_register(args) -> int:
-    params = _load_params(args.params)
     scene = None
     if args.scenario:
         if args.cloud_a or args.cloud_b or args.associations:
@@ -204,7 +185,7 @@ def _cmd_register(args) -> int:
         )
         epsilon = args.epsilon
 
-    result = register_clouds(cloud_a, cloud_b, associations, epsilon, params)
+    result = register_clouds(cloud_a, cloud_b, associations, epsilon)
     rep = result.report
     np.set_printoptions(precision=9, suppress=True)
     print(f"associations: {len(associations)}")
@@ -235,7 +216,7 @@ def _cmd_register(args) -> int:
         payload["rotation_error_deg"] = errs.rotation_error_deg
         payload["translation_error"] = errs.translation_error
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=1))
+        write_text(args.out, json.dumps(payload, indent=1), "result")
         print(f"wrote result to {args.out}")
     return 0
 
@@ -292,9 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--algo", choices=ALGORITHM_NAMES, default="clipper+",
         help="algorithm to run",
     )
-    solve.add_argument("--params", help="JSON file with solver parameters")
     solve.add_argument(
-        "--budget", type=int, default=DEFAULT_EXACT_BUDGET,
+        "--budget", type=_positive_int, default=DEFAULT_EXACT_BUDGET,
         help="node budget for the exact solver",
     )
     solve.set_defaults(func=_cmd_solve)
@@ -310,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--omega-gt",
         help="JSON file mapping graph ids to true maximum clique sizes",
     )
-    bd.add_argument("--params", help="JSON file with solver parameters")
-    bd.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET)
+    bd.add_argument("--budget", type=_positive_int, default=DEFAULT_EXACT_BUDGET)
     bd.set_defaults(func=_cmd_bench_dimacs)
 
     bs = sub.add_parser(
@@ -326,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="algorithm to run (repeatable; default greedy and clipper+)",
     )
     _add_scene_flags(bs)
-    bs.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET)
-    bs.add_argument("--params", help="JSON file with solver parameters")
+    bs.add_argument("--budget", type=_positive_int, default=DEFAULT_EXACT_BUDGET)
     bs.add_argument("--out", required=True, help="output CSV/JSON path")
     bs.set_defaults(func=_cmd_bench_synthetic)
 
@@ -343,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--epsilon", type=float,
         help="consistency threshold (defaults to the scenario's)",
     )
-    reg.add_argument("--params", help="JSON file with solver parameters")
     reg.add_argument("--out", help="optional JSON result path")
     reg.set_defaults(func=_cmd_register)
 

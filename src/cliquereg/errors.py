@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the two file readers
-that turn unreadable or malformed input files into :class:`InputError`."""
+"""Exception types shared across the package, and the file readers and
+writer that turn unreadable, malformed or unwritable files into
+:class:`InputError`."""
 
 from __future__ import annotations
 
@@ -18,6 +19,15 @@ def read_text(path: str | Path, what: str) -> str:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} file: {exc}") from exc
+
+
+def write_text(path: str | Path, text: str, what: str) -> None:
+    """Write ``text`` to ``path``; a file that cannot be written (a missing
+    directory, a directory, no permission) is an :class:`InputError`."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {what} file: {exc}") from exc
 
 
 def read_json_object(path: str | Path, what: str) -> dict:
@@ -42,7 +52,9 @@ class DimacsParseError(InputError):
 
 
 class SolverFailure(RuntimeError):
-    """Relaxation budget exhausted before the iterate reached a binary state.
+    """The relaxation stopped without a binary iterate: its outer-round
+    budget ran out, its line search stalled, or its inner loop ran out of
+    iterations at the penalty ceiling.
 
     Carries the last iterate and penalty level so callers can inspect or
     fall back to another solver.

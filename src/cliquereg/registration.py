@@ -24,9 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .clipper_plus import ClipperPlusReport, clipper_plus
-from .errors import InputError, RegistrationError, read_json_object
+from .errors import InputError, RegistrationError, read_json_object, write_text
 from .graph import Graph, _check_packed_size, _from_packed
-from .relaxation import SolverParams
 
 SCENARIO_FORMAT = "cliquereg-scenario-v1"
 
@@ -433,11 +432,10 @@ def register_clouds(
     cloud_b: PointCloud,
     associations: list[Association] | tuple[Association, ...],
     epsilon: float,
-    params: SolverParams | None = None,
 ) -> RegistrationResult:
     """Consistency graph -> combined clique solver -> rigid transform."""
     g = build_consistency_graph(cloud_a, cloud_b, associations, epsilon)
-    report = clipper_plus(g, params)
+    report = clipper_plus(g)
     idx = report.clique.members
     if len(idx) < 3:
         raise RegistrationError(
@@ -469,7 +467,7 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
         "associations": [[a.a_index, a.b_index] for a in scenario.associations],
         "inlier_mask": list(scenario.inlier_mask),
     }
-    Path(path).write_text(json.dumps(payload, indent=1))
+    write_text(path, json.dumps(payload, indent=1), "scenario")
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -99,36 +99,15 @@ class TestSolve:
         assert main(["solve", dense_graph_file, "--algo", "exact", "--budget", "3"]) == 2
         assert "solver failure" in capsys.readouterr().err
 
-    def test_params_file(self, graph_file, tmp_path):
-        params = tmp_path / "params.json"
-        params.write_text(json.dumps({"sigma": 0.02, "tol": 1e-9}))
-        assert main(["solve", graph_file, "--algo", "relax", "--params", str(params)]) == 0
 
-    def test_unknown_param_rejected(self, graph_file, tmp_path, capsys):
-        params = tmp_path / "params.json"
-        params.write_text(json.dumps({"gamma": 1.0}))
-        assert main(["solve", graph_file, "--params", str(params)]) == 1
-        assert "unknown solver parameters" in capsys.readouterr().err
-
-    # The penalty range is fixed (0 to n + 1), so d0 and d_max are unknown.
-    @pytest.mark.parametrize("name", ["d0", "d_max"])
-    def test_penalty_range_param_rejected(self, graph_file, tmp_path, capsys, name):
-        params = tmp_path / "params.json"
-        params.write_text(json.dumps({name: 1.0}))
-        assert main(["solve", graph_file, "--params", str(params)]) == 1
-        assert "unknown solver parameters" in capsys.readouterr().err
-
-    def test_invalid_param_value_rejected(self, graph_file, tmp_path, capsys):
-        params = tmp_path / "params.json"
-        params.write_text(json.dumps({"sigma": 2.0}))
-        assert main(["solve", graph_file, "--params", str(params)]) == 1
-
-    def test_nan_param_rejected(self, graph_file, tmp_path, capsys):
-        # Python's json reads the bare token NaN as a float.
-        params = tmp_path / "params.json"
-        params.write_text('{"tol": NaN}')
-        assert main(["solve", graph_file, "--params", str(params)]) == 1
-        assert "tol" in capsys.readouterr().err
+def _command_argv(command, graph_file, out):
+    """A command line of ``command`` that passes argparse, writing to ``out``."""
+    return {
+        "solve": ["solve", graph_file],
+        "bench-dimacs": ["bench-dimacs", graph_file, "--algo", "greedy", "--out", str(out)],
+        "bench-synthetic": ["bench-synthetic", "--trials", "1", "--out", str(out)],
+        "register": ["register", "--out", str(out)],
+    }[command]
 
 
 class TestUsageErrors:
@@ -141,6 +120,27 @@ class TestUsageErrors:
 
     def test_bad_algo_choice(self, graph_file, capsys):
         assert main(["solve", graph_file, "--algo", "magic"]) == 1
+
+    # The relaxation's line-search constants are a library setting
+    # (SolverParams), not a flag of any command.
+    @pytest.mark.parametrize("command", ["solve", "bench-dimacs", "bench-synthetic", "register"])
+    def test_params_flag_is_gone(self, graph_file, tmp_path, capsys, command):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({"sigma": 0.02}))
+        argv = _command_argv(command, graph_file, tmp_path / "o.csv")
+        assert main(argv + ["--params", str(params)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized arguments: --params")
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "bench-dimacs", "bench-synthetic"])
+    @pytest.mark.parametrize("value", ["0", "-5", "2.5", "many"])
+    def test_budget_must_be_a_positive_integer(self, graph_file, tmp_path, capsys, command, value):
+        argv = _command_argv(command, graph_file, tmp_path / "o.csv")
+        assert main(argv + ["--budget", value]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: argument --budget: must be a positive integer, got {value!r}\n"
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestBenchDimacs:
@@ -417,6 +417,34 @@ class TestRegisterAndGenScene:
             ["gen-scene", "--points", "5", "--associations", "10",
              "--outlier-ratio", "0.0", "--out", str(tmp_path / "s.json")]
         ) == 1
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    @pytest.mark.parametrize(
+        "command", ["bench-dimacs", "bench-synthetic", "gen-scene", "register"]
+    )
+    def test_unwritable_out_is_input_error(self, graph_file, tmp_path, capsys, command, target):
+        scene = tmp_path / "scene.json"
+        assert main(
+            ["gen-scene", "--points", "20", "--clutter", "5", "--associations", "10",
+             "--out", str(scene)]
+        ) == 0
+        out = tmp_path / "nonexistent" / "x.csv" if target == "missing directory" else tmp_path
+        argv = {
+            "bench-dimacs": ["bench-dimacs", graph_file, "--algo", "greedy"],
+            "bench-synthetic": [
+                "bench-synthetic", "--outlier-start", "0", "--outlier-stop", "0",
+                "--trials", "1", "--points", "20", "--clutter", "5", "--associations", "10",
+            ],
+            "gen-scene": ["gen-scene", "--points", "20", "--clutter", "5", "--associations", "10"],
+            "register": ["register", "--scenario", str(scene)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestConsoleEntryPoint:

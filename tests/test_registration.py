@@ -18,13 +18,14 @@ from cliquereg import (
     build_consistency_graph,
     estimate_rigid_transform,
     load_scenario,
+    max_clique_exact,
     mean_nearest_neighbor_distance,
     register_clouds,
     registration_errors,
     save_scenario,
     synthetic_scene,
 )
-from cliquereg.graph import _MAX_PACKED_BYTES
+from cliquereg.graph import _MAX_PACKED_BYTES, _relabel
 from cliquereg.registration import _BUILD_BLOCK, _distance_mismatch
 
 from .conftest import assert_packed_rows_match
@@ -225,6 +226,21 @@ class TestConsistencyGraph:
             PointCloud(pts), PointCloud(moved), assoc, epsilon=1e-9
         )
         assert g.edge_count == 8 * 7 // 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("ratio", [0.5, 0.9, 0.95])
+    def test_permuted_associations_permute_the_graph(self, seed, ratio):
+        # Each entry comes from its own pair of associations, so listing the
+        # associations in another order renumbers the graph and changes no
+        # bit; the maximum clique keeps its size.
+        sc = synthetic_scene(1000, 0.2, 1000, 1.0, 1000, ratio, seed)
+        perm = np.random.default_rng([seed, 99]).permutation(1000)
+        g = build_consistency_graph(sc.cloud_a, sc.cloud_b, sc.associations, sc.epsilon)
+        h = build_consistency_graph(
+            sc.cloud_a, sc.cloud_b, [sc.associations[i] for i in perm], sc.epsilon
+        )
+        assert h.packed.tobytes() == _relabel(g, perm).packed.tobytes()
+        assert max_clique_exact(h).size == max_clique_exact(g).size
 
 
 class TestDistanceMismatch:
