@@ -31,6 +31,7 @@ from .errors import (
     InputError,
     RegistrationError,
     SolverFailure,
+    check_writable,
     read_json_object,
     read_text,
     write_text,
@@ -98,6 +99,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench_dimacs(args) -> int:
+    check_writable(args.out, "records")
     table = None
     if args.omega_gt:
         payload = read_json_object(args.omega_gt, "omega table")
@@ -129,6 +131,7 @@ def _cmd_bench_dimacs(args) -> int:
 
 
 def _cmd_bench_synthetic(args) -> int:
+    check_writable(args.out, "records")
     config = SweepConfig(
         outlier_start=args.outlier_start,
         outlier_stop=args.outlier_stop,
@@ -186,6 +189,19 @@ def _cmd_register(args) -> int:
         epsilon = args.epsilon
 
     result = register_clouds(cloud_a, cloud_b, associations, epsilon)
+    payload = {
+        "rotation": result.transform.rotation.tolist(),
+        "translation": result.transform.translation.tolist(),
+        "inlier_indices": list(result.inlier_indices),
+    }
+    if scene is not None:
+        errs = registration_errors(result.transform, scene.gt_transform)
+        payload["rotation_error_deg"] = errs.rotation_error_deg
+        payload["translation_error"] = errs.translation_error
+    # Write before printing, so a failed write prints no result.
+    if args.out:
+        write_text(args.out, json.dumps(payload, indent=1), "result")
+
     rep = result.report
     np.set_printoptions(precision=9, suppress=True)
     print(f"associations: {len(associations)}")
@@ -201,22 +217,13 @@ def _cmd_register(args) -> int:
     print("rotation:")
     print(result.transform.rotation)
     print(f"translation: {result.transform.translation}")
-    payload = {
-        "rotation": result.transform.rotation.tolist(),
-        "translation": result.transform.translation.tolist(),
-        "inlier_indices": list(result.inlier_indices),
-    }
     if scene is not None:
         planted = {i for i, inlier in enumerate(scene.inlier_mask) if inlier}
         found = len(planted.intersection(result.inlier_indices))
         print(f"planted inliers found: {found} of {len(planted)}")
-        errs = registration_errors(result.transform, scene.gt_transform)
         print(f"rotation error: {errs.rotation_error_deg:.6f} deg")
         print(f"translation error: {errs.translation_error:.6g}")
-        payload["rotation_error_deg"] = errs.rotation_error_deg
-        payload["translation_error"] = errs.translation_error
     if args.out:
-        write_text(args.out, json.dumps(payload, indent=1), "result")
         print(f"wrote result to {args.out}")
     return 0
 

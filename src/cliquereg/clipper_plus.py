@@ -17,13 +17,15 @@ relaxation that cannot win never changes the result). The report's
 ``stop`` says which of these ended the solve.
 
 Also hosts the exact branch-and-bound solver used as ground truth in
-benchmarks and tests; it reuses the greedy's survivors and verdict too.
+benchmarks and tests, with the BBMC colouring it bounds by; it reuses the
+greedy's survivors and verdict too.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,8 +33,6 @@ from .errors import BudgetExceeded, InputError, SolverFailure
 from .graph import (
     Clique,
     Graph,
-    _anti_rows,
-    _colour_classes,
     _relabel,
     _smallest_last_order,
     core_numbers,
@@ -149,6 +149,47 @@ def accuracy_ratio(found_size: int, omega: int) -> float:
     return found_size / omega
 
 
+def _anti_rows(rows: Sequence[int]) -> list[int]:
+    """``anti[v]``: every vertex except ``v`` and its neighbours, the set a
+    colour class of ``v`` keeps. The rows are non-negative, so
+    ``q &= anti[v]`` allocates no two's-complement temporary and never
+    widens ``q``."""
+    mask = (1 << len(rows)) - 1
+    return [mask ^ r ^ 1 << v for v, r in enumerate(rows)]
+
+
+def _colour_classes(
+    p_mask: int, anti: list[int], bit: list[int], kmin: int
+) -> list[tuple[int, int]]:
+    """``(vertex, colour)`` pairs of the candidates ``p_mask``, by colour.
+
+    Colour ``c`` is the ``c``-th class built from the still-uncoloured
+    candidates: take the highest one ``v``, keep only ``anti[v]`` (neither
+    ``v`` nor a neighbour of it) and repeat, so each class is an
+    independent set, listed from its highest vertex down. ``bit[v]`` is
+    ``1 << v``. Only pairs with colour ``>= kmin`` are listed, so an empty
+    list with ``kmin = s + 1`` proves that no clique inside ``p_mask`` has
+    more than ``s`` vertices: a clique takes at most one vertex of each
+    class. This is the colouring of BBMC (San Segundo et al. 2011),
+    first-fit in descending index order. The highest bit is read with
+    ``bit_length``, which, unlike isolating the lowest with ``q & -q``,
+    builds no temporary int.
+    """
+    ordered: list[tuple[int, int]] = []
+    uncolored = p_mask
+    color = 0
+    while uncolored:
+        color += 1
+        q = uncolored
+        while q:
+            v = q.bit_length() - 1
+            uncolored ^= bit[v]
+            q &= anti[v]
+            if color >= kmin:
+                ordered.append((v, color))
+    return ordered
+
+
 def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
     """Exact maximum clique by branch and bound.
 
@@ -172,11 +213,13 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
     branches from the highest colour down and stops once the current clique
     plus a colour cannot beat the best clique; the best clique only grows,
     so the classes already below that bound when colouring are not listed.
-    ``budget`` caps the number of search-tree nodes; running out raises
-    :class:`BudgetExceeded` so callers can fall back to the heuristics.
-    The search recurses once per member of the current clique, so a clique
-    deeper than Python's recursion limit (``sys.getrecursionlimit()``, 1000
-    by default) also raises :class:`BudgetExceeded`, naming the depth.
+    The search is one loop over an explicit stack, with a frame per member
+    of the current clique holding the pairs its node has not yet branched
+    on and the candidates it has not yet tried: one candidate-class list
+    per clique member, as a recursive search would hold, and no depth
+    limit. ``budget`` caps the number of search-tree nodes; running out
+    raises :class:`BudgetExceeded` so callers can fall back to the
+    heuristics.
     """
     if g.n == 0:
         raise InputError("clique search needs at least one vertex")
@@ -198,41 +241,42 @@ def max_clique_exact(g: Graph, budget: int = DEFAULT_EXACT_BUDGET) -> Clique:
     best: list[int] = []  # vertices of h; empty while greedy is the best
     best_size = greedy.size
     nodes_left = budget
-    stack: list[int] = []
-
-    def expand(p_mask: int) -> None:
-        nonlocal best, best_size, nodes_left
-        nodes_left -= 1
-        if nodes_left < 0:
-            raise BudgetExceeded(
-                f"exact search exceeded {budget} node expansions"
-            )
-        if p_mask == 0:
-            if len(stack) > best_size:
-                best = stack.copy()
-                best_size = len(best)
-            return
-        ordered = _colour_classes(p_mask, anti, bit, best_size - len(stack) + 1)
-        current = p_mask
-        for v, color in reversed(ordered):
-            if len(stack) + color <= best_size:
-                return
-            stack.append(v)
-            expand(current & rows[v])
-            stack.pop()
-            current ^= bit[v]
-
-    try:
-        for v in range(h.n - 1, -1, -1):
-            if core[v] + 1 > best_size:
-                stack.append(v)
-                expand(rows[v] >> (v + 1) << (v + 1))
-                stack.pop()
-    except RecursionError:
-        # The search recurses once per clique member; the unwound stack
-        # still holds the members chosen when the limit was hit.
-        raise BudgetExceeded(
-            f"exact search reached Python's recursion limit at clique depth {len(stack)}"
-        ) from None
+    clique: list[int] = []
+    frames: list[list] = []  # [pairs, candidates], one per member of clique
+    for v in range(h.n - 1, -1, -1):
+        if core[v] + 1 > best_size:
+            clique.append(v)
+            p_mask = rows[v] >> (v + 1) << (v + 1)
+            while True:
+                # Expand the node of ``clique`` with candidates ``p_mask``.
+                nodes_left -= 1
+                if nodes_left < 0:
+                    raise BudgetExceeded(
+                        f"exact search exceeded {budget} node expansions"
+                    )
+                if p_mask:
+                    kmin = best_size - len(clique) + 1
+                    frames.append([_colour_classes(p_mask, anti, bit, kmin), p_mask])
+                else:
+                    if len(clique) > best_size:
+                        best = clique.copy()
+                        best_size = len(best)
+                    clique.pop()
+                # Branch on the highest colour left in the deepest frame
+                # that can still beat the best clique; drop the ones that
+                # cannot.
+                while frames:
+                    frame = frames[-1]
+                    pairs = frame[0]
+                    if pairs and len(clique) + pairs[-1][1] > best_size:
+                        u = pairs.pop()[0]
+                        p_mask = frame[1] & rows[u]
+                        frame[1] ^= bit[u]
+                        clique.append(u)
+                        break
+                    frames.pop()
+                    clique.pop()
+                else:
+                    break
 
     return Clique.of(order[v] for v in best) if best else greedy

